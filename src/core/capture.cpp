@@ -1,5 +1,7 @@
 #include "core/capture.hpp"
 
+#include <iterator>
+
 namespace msim {
 
 const char* toString(Channel c) {
@@ -13,15 +15,15 @@ const char* toString(Channel c) {
   return "?";
 }
 
-CaptureAgent::CaptureAgent(Simulator& sim, NetDevice& campusSide,
+CaptureAgent::CaptureAgent(NetDevice& campusSide,
                            const PlatformDeployment& deployment,
                            Duration binWidth)
-    : sim_{sim}, deployment_{deployment} {
+    : deployment_{deployment} {
   channels_.fill(BinnedSeries{binWidth});
   protos_.fill(BinnedSeries{binWidth});
-  campusSide.addTap([this](const Packet& p, TapDir dir) {
+  campusSide.addTap([this, &campusSide](const Packet& p, TapDir dir) {
     // Egress toward the campus/internet = the user's uplink.
-    onPacket(p, dir == TapDir::Egress);
+    onPacket(p, dir == TapDir::Egress, campusSide.tapTime());
   });
 }
 
@@ -37,13 +39,12 @@ Channel CaptureAgent::classify(const Packet& p, bool uplink) const {
   return Channel::Other;
 }
 
-void CaptureAgent::onPacket(const Packet& p, bool uplink) {
+void CaptureAgent::onPacket(const Packet& p, bool uplink, TimePoint at) {
   ++packets_;
-  const TimePoint now = sim_.now();
   const Channel channel = classify(p, uplink);
-  channels_[static_cast<std::size_t>(channel)].addBytes(now, p.wireSize());
+  channels_[static_cast<std::size_t>(channel)].addBytes(at, p.wireSize());
   protos_[static_cast<std::size_t>(p.proto) * 2 + (uplink ? 1 : 0)]
-      .addBytes(now, p.wireSize());
+      .addBytes(at, p.wireSize());
 
   std::uint64_t actionId = 0;
   for (const auto& m : p.messages) {
@@ -54,12 +55,17 @@ void CaptureAgent::onPacket(const Packet& p, bool uplink) {
   }
   if (actionId != 0) {
     auto& registry = uplink ? firstUpAction_ : firstDownAction_;
-    if (!registry.contains(actionId)) registry.insert(actionId, now);
+    if (!registry.contains(actionId)) registry.insert(actionId, at);
   }
 
   if (storeRecords_) {
-    records_.push_back(PacketRecord{now, uplink, p.wireSize(), p.src, p.dst,
-                                    p.srcPort, p.dstPort, p.proto, actionId});
+    // An uplink packet is shown to the tap when the device accepts it, so
+    // its wire time can lie ahead of later-arriving downlink packets; file
+    // it in wire-time order, as the AP's Wireshark would log it.
+    auto pos = records_.end();
+    while (pos != records_.begin() && std::prev(pos)->at > at) --pos;
+    records_.insert(pos, PacketRecord{at, uplink, p.wireSize(), p.src, p.dst,
+                                      p.srcPort, p.dstPort, p.proto, actionId});
   }
 }
 

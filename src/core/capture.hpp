@@ -46,9 +46,9 @@ struct PacketRecord {
 class CaptureAgent {
  public:
   /// Taps `campusSide` (the AP's upstream device): egress there is user
-  /// uplink, ingress is user downlink.
-  CaptureAgent(Simulator& sim, NetDevice& campusSide,
-               const PlatformDeployment& deployment,
+  /// uplink, ingress is user downlink. Records carry the device's wire
+  /// time (NetDevice::tapTime()).
+  CaptureAgent(NetDevice& campusSide, const PlatformDeployment& deployment,
                Duration binWidth = Duration::seconds(1));
 
   CaptureAgent(const CaptureAgent&) = delete;
@@ -79,10 +79,11 @@ class CaptureAgent {
   [[nodiscard]] std::string exportTraceText(std::size_t maxLines = 0) const;
 
  private:
-  void onPacket(const Packet& p, bool uplink);
+  /// `at` is the packet's wire time at the tapped device
+  /// (NetDevice::tapTime()), not the dispatch time of the tap.
+  void onPacket(const Packet& p, bool uplink, TimePoint at);
   [[nodiscard]] Channel classify(const Packet& p, bool uplink) const;
 
-  Simulator& sim_;
   const PlatformDeployment& deployment_;
   // Both key spaces are tiny and dense (5 channels, 3 protocols x 2
   // directions), so plain arrays replace hash maps: O(1) lookups with no

@@ -79,8 +79,8 @@ TestUser& Testbed::addUser(const TestUserConfig& cfg) {
   user->client =
       std::make_unique<PlatformClient>(*user->headset, *deployment_, clientCfg);
 
-  user->capture = std::make_unique<CaptureAgent>(sim_, *user->apCampusDev,
-                                                 *deployment_);
+  user->capture =
+      std::make_unique<CaptureAgent>(*user->apCampusDev, *deployment_);
 
   users_.push_back(std::move(user));
   return *users_.back();

@@ -33,42 +33,57 @@ void NetDevice::send(Packet p) {
 }
 
 void NetDevice::enqueueForTransmit(Packet p) {
-  if (queuedBytes_ + p.wireSize() > cfg_.queueLimit && !queue_.empty()) {
+  auto& sim = owner_.sim();
+  const TimePoint now = sim.now();
+  // Packets whose transmission has begun leave the backlog.
+  while (started_ != tail_ &&
+         ring_[started_ & (ring_.size() - 1)].txStart <= now) {
+    backlogBytes_ -= ring_[started_ & (ring_.size() - 1)].packet.wireSize();
+    ++started_;
+  }
+  const ByteSize size = p.wireSize();
+  if (started_ != tail_ && backlogBytes_ + size > cfg_.queueLimit) {
     ++queueDrops_;
     return;
   }
-  queuedBytes_ += p.wireSize();
-  // detlint:allow(hotpath-alloc) drop-tail device queue (deque, bounded by
-  // queueLimit): per-packet queueing is the modeled machine's own work, and
-  // the gated zero-alloc fan-out delivers locally without touching a device.
-  queue_.push_back(std::move(p));
-  startTransmitIfIdle();
-}
-
-void NetDevice::startTransmitIfIdle() {
-  if (transmitting_ || queue_.empty()) return;
-  transmitting_ = true;
-  Packet p = std::move(queue_.front());
-  queue_.pop_front();
-  queuedBytes_ -= p.wireSize();
+  const TimePoint start = std::max(now, busyUntil_);
+  busyUntil_ = start + cfg_.rate.transmissionTime(size);
+  tapTime_ = start;
   notifyTaps(p, TapDir::Egress);
-  auto& sim = owner_.sim();
-  const Duration txTime = cfg_.rate.transmissionTime(p.wireSize());
-  sim.scheduleAfter(txTime, [this, p = std::move(p)]() mutable {
-    transmitting_ = false;
-    deliverToPeer(std::move(p));
-    startTransmitIfIdle();
-  });
+  if (tail_ - head_ == ring_.size()) growRing();
+  InFlight& slot = ring_[tail_ & (ring_.size() - 1)];
+  slot.packet = std::move(p);
+  slot.txStart = start;
+  ++tail_;
+  backlogBytes_ += size;
+  sim.schedule(busyUntil_ + cfg_.delay, [this] { deliverHead(); });
 }
 
-void NetDevice::deliverToPeer(Packet p) {
+void NetDevice::growRing() {
+  const std::size_t size = ring_.empty() ? kInitialRing : ring_.size() * 2;
+  // detlint:allow(hotpath-alloc) in-flight ring growth: doubles only when the
+  // link's in-flight high-water mark rises (the drop-tail backlog is bounded
+  // by queueLimit, the rest by one bandwidth-delay product), so a warm link
+  // recycles its slots and never reaches this branch.
+  std::vector<InFlight> grown(size);
+  for (std::uint64_t i = head_; i != tail_; ++i) {
+    grown[i & (size - 1)] = std::move(ring_[i & (ring_.size() - 1)]);
+  }
+  ring_.swap(grown);
+}
+
+void NetDevice::deliverHead() {
+  InFlight& head = ring_[head_ & (ring_.size() - 1)];
+  if (started_ == head_) {  // still counted in the backlog: it has started
+    backlogBytes_ -= head.packet.wireSize();
+    ++started_;
+  }
+  ++head_;
+  Packet p = std::move(head.packet);
   if (peer_ == nullptr) return;
-  auto& sim = owner_.sim();
-  NetDevice* peer = peer_;
-  sim.scheduleAfter(cfg_.delay, [peer, p = std::move(p)]() mutable {
-    peer->notifyTaps(p, TapDir::Ingress);
-    peer->owner().receive(std::move(p), *peer);
-  });
+  peer_->tapTime_ = owner_.sim().now();
+  peer_->notifyTaps(p, TapDir::Ingress);
+  peer_->owner().receive(std::move(p), *peer_);
 }
 
 void NetDevice::notifyTaps(const Packet& p, TapDir dir) const {

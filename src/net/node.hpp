@@ -7,9 +7,15 @@
 // response, and local delivery to the transport layer. Devices model egress
 // serialization (rate), a drop-tail queue, propagation delay, optional netem
 // impairment, and promiscuous capture taps.
+//
+// A device's transmitter is analytic rather than event-driven: accepting a
+// packet computes its transmission start (max(now, busyUntil)) and its
+// arrival at the peer in closed form, parks the packet in an in-flight ring,
+// and schedules exactly one delivery event per hop. Per-link FIFO needs no
+// bookkeeping beyond the ring: the delay is constant and transmission is
+// serial, so arrivals come out in acceptance order (see DESIGN.md §7).
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -53,17 +59,31 @@ class NetDevice {
   [[nodiscard]] Netem& netem() { return netem_; }
 
   using Tap = std::function<void(const Packet&, TapDir)>;
-  /// Registers a promiscuous capture callback (Wireshark-style).
+  /// Registers a promiscuous capture callback (Wireshark-style). Egress
+  /// taps fire when the device accepts a packet, ingress taps when it
+  /// arrives; neither schedules anything, so installing taps never changes
+  /// the event stream.
   void addTap(Tap tap) { taps_.push_back(std::move(tap)); }
 
+  /// The wire time of the packet a tap is being shown: its transmission
+  /// start for egress (which may lie ahead of now() when it waits in the
+  /// queue), its arrival time for ingress. Meaningful inside a tap only.
+  [[nodiscard]] TimePoint tapTime() const { return tapTime_; }
+
   [[nodiscard]] std::uint64_t queueDrops() const { return queueDrops_; }
-  [[nodiscard]] ByteSize queuedBytes() const { return queuedBytes_; }
 
  private:
   friend class Link;
+  // An accepted packet and the time its transmission starts.
+  struct InFlight {
+    Packet packet;
+    TimePoint txStart;
+  };
+  static constexpr std::size_t kInitialRing = 16;
+
   void enqueueForTransmit(Packet p);
-  void startTransmitIfIdle();
-  void deliverToPeer(Packet p);
+  void growRing();
+  void deliverHead();
   void notifyTaps(const Packet& p, TapDir dir) const;
 
   Node& owner_;
@@ -71,9 +91,18 @@ class NetDevice {
   NetDevice* peer_{nullptr};
   LinkConfig cfg_;
   Netem netem_;
-  std::deque<Packet> queue_;
-  ByteSize queuedBytes_;
-  bool transmitting_{false};
+  // Transmitter state. The ring holds every accepted packet until its
+  // delivery event pops it; its size is a power of two and the cursors are
+  // absolute counts, masked on access. [head_, started_) have begun
+  // transmitting; [started_, tail_) is the drop-tail backlog as of the last
+  // admission check (entries whose txStart has passed leave it lazily).
+  std::vector<InFlight> ring_;
+  std::uint64_t head_{0};
+  std::uint64_t started_{0};
+  std::uint64_t tail_{0};
+  ByteSize backlogBytes_;  // wire bytes of [started_, tail_)
+  TimePoint busyUntil_;    // end of the last accepted transmission
+  TimePoint tapTime_;
   std::uint64_t queueDrops_{0};
   std::vector<Tap> taps_;
 };
@@ -178,6 +207,9 @@ class Network {
 
   Node& addNode(std::string name);
   [[nodiscard]] Node* findNode(const std::string& name);
+  [[nodiscard]] const std::vector<std::unique_ptr<Node>>& nodes() const {
+    return nodes_;
+  }
   [[nodiscard]] Simulator& sim() { return sim_; }
 
  private:

@@ -478,10 +478,17 @@ bool Simulator::advanceWheel(std::int64_t limitNs) {
   const auto laneAlign = [](std::int64_t ns) {
     return (ns >> kWheelBaseShift) << kWheelBaseShift;
   };
-  while (drainRun_.empty()) {
+  // Set once a promotion or cascade has filed entries straight into the
+  // cursor's lane. A lane of another level whose window starts at or before
+  // the cursor's lane may still hold entries due in that same lane (a
+  // window-start tie), so the run may only be handed to dispatch once no
+  // such lane is left to merge; otherwise those entries would dispatch one
+  // advance late and the clock would step backwards.
+  bool merging = false;
+  while (drainRun_.empty() || merging) {
     if (!heap_.empty()) {
       promoteOverflow();
-      if (!drainRun_.empty()) break;  // promoted into the current lane
+      merging = !drainRun_.empty();
     }
     // The earliest occupied window across the levels. On a window-start tie
     // the highest level cascades first, so its finer-grained entries merge
@@ -505,6 +512,10 @@ bool Simulator::advanceWheel(std::int64_t limitNs) {
         bestStart = windowStart;
         bestLane = static_cast<std::uint32_t>(cursor + d) & kWheelSlotMask;
       }
+    }
+    if (merging &&
+        (bestLevel < 0 || bestStart > laneAlign(wheelNowNs_))) {
+      break;  // nothing left that reaches into the cursor's lane
     }
     if (bestLevel < 0) {
       if (heap_.empty()) return false;  // no pending events anywhere
@@ -553,6 +564,7 @@ bool Simulator::advanceWheel(std::int64_t limitNs) {
         directDrainLane(bestLevel, bestLane);
       } else {
         cascadeLane(bestLevel, bestLane);
+        merging = !drainRun_.empty();
       }
     }
   }

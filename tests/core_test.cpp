@@ -72,6 +72,54 @@ TEST(TestbedTest, DownlinkNetemShapesWhatCaptureSees) {
 
 // ------------------------------------------------------------ classification
 
+// Taps observe; they never act. Extra taps on every device of the topology
+// (the capture agents' own taps included) must leave the event stream, and
+// with it the audit digest, exactly as it is without them. Hubs carries its
+// data over TLS/TCP, so queued and ACK-clocked traffic both pass the taps.
+TEST(CaptureTest, ExtraTapsLeaveTheAuditDigestAlone) {
+  struct Outcome {
+    std::uint64_t digest{0};
+    std::uint64_t events{0};
+    std::uint64_t tapped{0};
+  };
+  auto run = [](bool extraTaps) {
+    Outcome out;
+    Testbed bed{11};
+    bed.sim().enableAudit();
+    bed.deploy(platforms::hubs());
+    for (int i = 0; i < 3; ++i) bed.addUser();
+    if (extraTaps) {
+      for (const auto& node : bed.network().nodes()) {
+        for (const auto& dev : node->devices()) {
+          NetDevice* d = dev.get();
+          Simulator* sim = &bed.sim();
+          d->addTap([&out, d, sim](const Packet&, TapDir dir) {
+            ++out.tapped;
+            EXPECT_TRUE(dir == TapDir::Egress ? d->tapTime() >= sim->now()
+                                              : d->tapTime() == sim->now());
+          });
+        }
+      }
+    }
+    bed.sim().schedule(TimePoint::epoch(), [&bed] {
+      for (auto& u : bed.users()) u->client->launch();
+    });
+    for (std::size_t i = 0; i < 3; ++i) {
+      bed.sim().schedule(TimePoint::epoch() + Duration::seconds(2 + i),
+                         [&bed, i] { bed.user(i).client->joinEvent(); });
+    }
+    bed.sim().runFor(Duration::seconds(12));
+    out.digest = bed.sim().auditDigest();
+    out.events = bed.sim().executedEvents();
+    return out;
+  };
+  const Outcome plain = run(false);
+  const Outcome tapped = run(true);
+  EXPECT_GT(tapped.tapped, 10'000u);
+  EXPECT_EQ(plain.events, tapped.events);
+  EXPECT_EQ(plain.digest, tapped.digest);
+}
+
 TEST(CaptureTest, ChannelsClassifiedByServerAddress) {
   Testbed bed{4};
   bed.deploy(platforms::vrchat());

@@ -3,6 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <functional>
+#include <queue>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "net/netem.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
@@ -150,8 +159,15 @@ TEST_F(TwoNodeFixture, UnroutableCountsDrop) {
 TEST_F(TwoNodeFixture, TapsSeeBothDirections) {
   int egress = 0;
   int ingress = 0;
+  std::vector<TimePoint> egressAt;
+  std::vector<TimePoint> ingressAt;
   devA->addTap([&](const Packet&, TapDir dir) {
     (dir == TapDir::Egress ? egress : ingress) += 1;
+    (dir == TapDir::Egress ? egressAt : ingressAt).push_back(devA->tapTime());
+    // Ingress is shown at arrival; egress at acceptance, never later than
+    // the transmission start it reports.
+    if (dir == TapDir::Ingress) EXPECT_EQ(devA->tapTime(), sim.now());
+    if (dir == TapDir::Egress) EXPECT_GE(devA->tapTime(), sim.now());
   });
   b->setLocalHandler([](const Packet&) {});
   a->sendFromLocal(makeUdpPacket(a->primaryAddress(), b->primaryAddress(), 100));
@@ -162,6 +178,20 @@ TEST_F(TwoNodeFixture, TapsSeeBothDirections) {
   a->setLocalHandler([](const Packet&) {});
   sim.run();
   EXPECT_EQ(ingress, 1);
+  ASSERT_EQ(ingressAt.size(), 1u);
+  EXPECT_EQ(ingressAt[0], sim.now());
+
+  // Two packets accepted at the same instant: the second waits in the queue
+  // behind the first, and its egress tap reports its transmission start.
+  const TimePoint t0 = sim.now();
+  a->sendFromLocal(makeUdpPacket(a->primaryAddress(), b->primaryAddress(), 100));
+  a->sendFromLocal(makeUdpPacket(a->primaryAddress(), b->primaryAddress(), 100));
+  sim.run();
+  ASSERT_EQ(egressAt.size(), 3u);
+  EXPECT_EQ(egressAt[0], TimePoint::epoch());
+  EXPECT_EQ(egressAt[1], t0);
+  // 142 B of wire at 1 B/us.
+  EXPECT_EQ(egressAt[2], t0 + Duration::micros(142));
 }
 
 // ------------------------------------------------------------------ routing
@@ -457,6 +487,194 @@ TEST(NetemDeviceTest, LossyLinkDropsTraffic) {
   sim.run();
   EXPECT_GT(received, 50);
   EXPECT_LT(received, 150);
+}
+
+// ------------------------------------------- device model vs closed form
+//
+// A random multi-hop UDP workload through small drop-tail queues, checked
+// against the transmitter model written out in closed form: a packet
+// accepted at `now` starts at max(now, busyUntil), arrives at the next hop
+// at start + tx + delay, and is dropped iff the backlog (accepted packets
+// whose start lies after `now`) is non-empty and its bytes plus the new
+// packet's exceed the queue limit. Send times are distinct to the
+// nanosecond and the reference checks that no device ever sees two
+// admissions at one instant, so the reference is free of tie-order choices.
+TEST(DeviceModelTest, MultiHopWorkloadMatchesClosedFormReference) {
+  constexpr int kSources = 4;
+  constexpr int kPerSource = 3000;
+  Simulator sim{1};
+  Network net{sim};
+  Node& r1 = net.addNode("r1");
+  Node& r2 = net.addNode("r2");
+  Node& dst = net.addNode("dst");
+  dst.addAddress(Ipv4Address(10, 9, 0, 1));
+
+  // Device index: 0..3 the source uplinks, 4 = r1 -> r2 (the bottleneck),
+  // 5 = r2 -> dst. next[i] is the device a packet leaving i is admitted to
+  // (-1: delivered to dst).
+  std::vector<NetDevice*> devs;
+  std::vector<LinkConfig> cfgs;
+  std::vector<int> next;
+  std::vector<Node*> sources;
+  for (int i = 0; i < kSources; ++i) {
+    Node& src = net.addNode("s" + std::to_string(i));
+    src.addAddress(Ipv4Address(10, 1, 0, static_cast<std::uint8_t>(i + 1)));
+    LinkConfig cfg;
+    cfg.rate = DataRate::mbps(40 + 10 * i);
+    cfg.delay = Duration::nanos(20'011 + 1'013 * i);
+    cfg.queueLimit = ByteSize::bytes(2'500);
+    auto [up, down] = Link::connect(src, r1, cfg);
+    src.setDefaultRoute(up);
+    devs.push_back(&up);
+    cfgs.push_back(cfg);
+    next.push_back(4);
+    sources.push_back(&src);
+  }
+  LinkConfig trunk;
+  trunk.rate = DataRate::mbps(60);
+  trunk.delay = Duration::nanos(1'000'003);
+  trunk.queueLimit = ByteSize::bytes(6'000);
+  auto [r1out, r2in] = Link::connect(r1, r2, trunk);
+  r1.setDefaultRoute(r1out);
+  devs.push_back(&r1out);
+  cfgs.push_back(trunk);
+  next.push_back(5);
+  LinkConfig edge;
+  edge.rate = DataRate::mbps(45);
+  edge.delay = Duration::nanos(50'021);
+  edge.queueLimit = ByteSize::bytes(4'000);
+  auto [r2out, dstIn] = Link::connect(r2, dst, edge);
+  r2.setDefaultRoute(r2out);
+  devs.push_back(&r2out);
+  cfgs.push_back(edge);
+  next.push_back(-1);
+
+  // Observed: every egress (uid, tapTime) per device, every arrival at dst.
+  using Line = std::pair<std::uint64_t, std::int64_t>;
+  std::vector<std::vector<Line>> tapped(devs.size());
+  for (std::size_t d = 0; d < devs.size(); ++d) {
+    NetDevice* dev = devs[d];
+    dev->addTap([&tapped, d, dev](const Packet& p, TapDir dir) {
+      if (dir == TapDir::Egress) {
+        tapped[d].emplace_back(p.uid, dev->tapTime().toNanos());
+      }
+    });
+  }
+  std::vector<Line> arrived;
+  dst.setLocalHandler(
+      [&](const Packet& p) { arrived.emplace_back(p.uid, sim.now().toNanos()); });
+
+  // The workload: random sizes at random, pairwise-distinct send times.
+  struct Send {
+    std::int64_t atNs;
+    int source;
+    std::uint64_t uid;
+    std::int64_t payload;
+  };
+  std::vector<Send> sends;
+  std::set<std::int64_t> used;
+  std::uint64_t lcg = 12345;
+  auto rnd = [&lcg] {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    return lcg >> 33;
+  };
+  std::uint64_t uid = 0;
+  for (int i = 0; i < kSources; ++i) {
+    for (int k = 0; k < kPerSource; ++k) {
+      std::int64_t t;
+      do {
+        t = static_cast<std::int64_t>(rnd() % 1'000'000'000);
+      } while (!used.insert(t).second);
+      sends.push_back(Send{t, i, ++uid,
+                           60 + static_cast<std::int64_t>(rnd() % 1'400)});
+    }
+  }
+  for (const Send& snd : sends) {
+    Packet p = makeUdpPacket(sources[static_cast<std::size_t>(snd.source)]
+                                 ->primaryAddress(),
+                             dst.primaryAddress(), snd.payload);
+    p.uid = snd.uid;
+    sim.schedule(TimePoint::fromNanos(snd.atNs),
+                 [&sources, src = snd.source, p = std::move(p)]() mutable {
+                   sources[static_cast<std::size_t>(src)]->sendFromLocal(
+                       std::move(p));
+                 });
+  }
+  sim.run();
+
+  // The reference: admissions in time order across all devices (each
+  // device's own admissions are tie-free, checked below).
+  struct Admission {
+    std::int64_t atNs;
+    int dev;
+    std::uint64_t uid;
+    std::int64_t wire;
+    bool operator>(const Admission& o) const { return atNs > o.atNs; }
+  };
+  std::priority_queue<Admission, std::vector<Admission>, std::greater<>> todo;
+  for (const Send& snd : sends) {
+    todo.push(Admission{snd.atNs, snd.source, snd.uid,
+                        snd.payload + wire::kEthIpUdp});
+  }
+  struct Ref {
+    std::int64_t busyUntil{0};
+    std::int64_t lastAdmission{-1};
+    std::deque<std::pair<std::int64_t, std::int64_t>> backlog;  // start, wire
+    std::int64_t backlogBytes{0};
+    std::uint64_t drops{0};
+    std::vector<Line> starts;
+  };
+  std::vector<Ref> ref(devs.size());
+  std::vector<Line> refArrived;
+  while (!todo.empty()) {
+    const Admission a = todo.top();
+    todo.pop();
+    Ref& r = ref[static_cast<std::size_t>(a.dev)];
+    const LinkConfig& cfg = cfgs[static_cast<std::size_t>(a.dev)];
+    ASSERT_NE(a.atNs, r.lastAdmission)
+        << "workload tie at device " << a.dev << "; pick another seed";
+    r.lastAdmission = a.atNs;
+    while (!r.backlog.empty() && r.backlog.front().first <= a.atNs) {
+      r.backlogBytes -= r.backlog.front().second;
+      r.backlog.pop_front();
+    }
+    if (!r.backlog.empty() &&
+        r.backlogBytes + a.wire > cfg.queueLimit.toBytes()) {
+      ++r.drops;
+      continue;
+    }
+    const std::int64_t start = std::max(a.atNs, r.busyUntil);
+    r.busyUntil =
+        start + cfg.rate.transmissionTime(ByteSize::bytes(a.wire)).toNanos();
+    r.backlog.emplace_back(start, a.wire);
+    r.backlogBytes += a.wire;
+    r.starts.emplace_back(a.uid, start);
+    const std::int64_t arrival = r.busyUntil + cfg.delay.toNanos();
+    const int to = next[static_cast<std::size_t>(a.dev)];
+    if (to < 0) {
+      refArrived.emplace_back(a.uid, arrival);
+    } else {
+      todo.push(Admission{arrival, to, a.uid, a.wire});
+    }
+  }
+
+  std::size_t lines = 0;
+  int devicesWithDrops = 0;
+  for (std::size_t d = 0; d < devs.size(); ++d) {
+    std::sort(tapped[d].begin(), tapped[d].end());
+    std::sort(ref[d].starts.begin(), ref[d].starts.end());
+    EXPECT_EQ(tapped[d], ref[d].starts) << "egress tap times at device " << d;
+    EXPECT_EQ(devs[d]->queueDrops(), ref[d].drops) << "drops at device " << d;
+    lines += tapped[d].size();
+    if (ref[d].drops > 0) ++devicesWithDrops;
+  }
+  std::sort(arrived.begin(), arrived.end());
+  std::sort(refArrived.begin(), refArrived.end());
+  EXPECT_EQ(arrived, refArrived);
+  lines += arrived.size();
+  // The workload must exercise queueing and drops at several hops.
+  EXPECT_GE(devicesWithDrops, 3);
+  EXPECT_GT(lines, 20'000u);
 }
 
 }  // namespace

@@ -301,6 +301,53 @@ TEST(TimerWheelProperty, ChunkedRunsMatchOracleToo) {
   }
 }
 
+// Far-future events that each schedule one near follow-up. The follow-ups
+// land in fine lanes right at the cursor while coarser lanes (and the
+// overflow tier) keep cascading into it, so window-start ties between a
+// cascading lane and a finer occupied lane come up thousands of times per
+// run. Every such tie must merge before dispatch: the clock never steps
+// back, and dispatch is exactly (time, schedule order).
+TEST(TimerWheelProperty, NearFollowUpsOfFarEventsDispatchInOrder) {
+  struct Fired {
+    std::int64_t timeNs;
+    std::uint64_t order;
+  };
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Simulator sim;
+    std::uint64_t lcg = seed * 2654435761u + 1;
+    auto rnd = [&lcg] {
+      lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+      return lcg >> 33;
+    };
+    std::uint64_t scheduled = 0;  // schedule order == the kernel's seq order
+    std::vector<Fired> fired;
+    auto record = [&](std::uint64_t order) {
+      fired.push_back(Fired{(sim.now() - TimePoint::epoch()).toNanos(), order});
+    };
+    constexpr int kFar = 20'000;
+    for (int i = 0; i < kFar; ++i) {
+      const std::uint64_t order = ++scheduled;
+      const auto t = static_cast<std::int64_t>(rnd() % 500'000'000);
+      sim.schedule(at(t), [&, order] {
+        record(order);
+        const std::uint64_t next = ++scheduled;
+        const auto d = static_cast<std::int64_t>(rnd() % 3'000);
+        sim.scheduleAfter(Duration::nanos(d), [&, next] { record(next); });
+      });
+    }
+    sim.run();
+    ASSERT_EQ(fired.size(), 2u * kFar) << "seed " << seed;
+    for (std::size_t i = 1; i < fired.size(); ++i) {
+      const Fired& a = fired[i - 1];
+      const Fired& b = fired[i];
+      ASSERT_LE(a.timeNs, b.timeNs)
+          << "seed " << seed << ": clock stepped back at dispatch " << i;
+      ASSERT_TRUE(a.timeNs < b.timeNs || a.order < b.order)
+          << "seed " << seed << ": same-time FIFO broken at dispatch " << i;
+    }
+  }
+}
+
 // Identical seeds must produce identical audit fingerprints when run whole
 // versus chunked — the wheel cursor is bookkeeping, not observable state.
 TEST(TimerWheelProperty, AuditDigestInvariantUnderChunking) {

@@ -9,16 +9,17 @@
 #
 # Compare two checkouts with google-benchmark's compare.py, or just diff the
 # items_per_second fields. BM_RelayBroadcast reports allocs_per_forward and
-# BM_UdpSteadyStatePacketPool reports pool_hit_rate — the steady-state heap
-# budgets of the relay and link hot paths. Skip the cluster smoke with
+# BM_UdpSteadyStatePacketPool reports pool_hit_rate and allocs_per_datagram —
+# the steady-state heap budgets of the relay and link hot paths. Skip the cluster smoke with
 # MSIM_SKIP_CLUSTER_SMOKE=1.
 #
 # Set MSIM_BENCH_BASELINE=path/to/old.json to diff the fresh results against
 # a recorded baseline via tools/bench_diff.py. With MSIM_BENCH_GATE=PCT the
 # diff becomes a gate: the script fails when a hot-path row (interest fan-out
-# / SoA broadcast, see MSIM_BENCH_ONLY) regresses beyond PCT percent or any
-# allocs_per_* counter exceeds MSIM_BENCH_MAX_ALLOC (default 1e-6 — i.e. the
-# relay hot path must stay allocation-free).
+# / SoA broadcast / session delivery / warm UDP link, see MSIM_BENCH_ONLY)
+# regresses beyond PCT percent or any allocs_per_* counter exceeds
+# MSIM_BENCH_MAX_ALLOC (default 1e-6 — i.e. the relay and link hot paths
+# must stay allocation-free).
 set -eu
 
 BUILD_DIR="${1:-build}"
@@ -68,7 +69,7 @@ if [ -n "${MSIM_BENCH_BASELINE:-}" ]; then
     --max-alloc ${MSIM_BENCH_MAX_ALLOC:-1e-6}"
   # shellcheck disable=SC2086
   python3 "$(dirname "$0")/bench_diff.py" "$MSIM_BENCH_BASELINE" "$OUT" \
-    --only "${MSIM_BENCH_ONLY:-BM_InterestGridFanout|BM_RelayBroadcast|BM_SessionChurnSteady}" \
+    --only "${MSIM_BENCH_ONLY:-BM_InterestGridFanout|BM_RelayBroadcast|BM_SessionChurnSteady|BM_UdpSteadyStatePacketPool}" \
     $DIFF_ARGS
 fi
 
