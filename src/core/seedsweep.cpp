@@ -1,7 +1,6 @@
 #include "core/seedsweep.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -10,14 +9,7 @@
 
 namespace msim {
 
-unsigned seedSweepThreads() {
-  if (const char* env = std::getenv("MSIM_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) return static_cast<unsigned>(v);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
+unsigned seedSweepThreads() { return ThreadBudget::process().capacity(); }
 
 std::vector<std::uint64_t> defaultSeeds(int count) {
   std::vector<std::uint64_t> seeds;

@@ -20,9 +20,9 @@
 
 namespace msim {
 
-/// Worker count a sweep uses when the caller passes 0: the MSIM_THREADS
-/// environment variable if set (>=1), else the hardware concurrency
-/// (minimum 1).
+/// Worker count a sweep uses when the caller passes 0: the capacity of
+/// ThreadBudget::process(), i.e. MSIM_THREADS if set (>=1), else the
+/// hardware concurrency (minimum 1), read once at first use.
 [[nodiscard]] unsigned seedSweepThreads();
 
 /// The repo-wide seed schedule for run r = 0..count-1 (matches the

@@ -2,136 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <utility>
 
 #include "util/hotpath.hpp"
 
 namespace msim {
-
-namespace {
-constexpr std::size_t kHeapArity = 4;
-
-// Finalizer-quality 64-bit mix (Murmur3 fmix64): timestamps are highly
-// regular (multiples of a tick), so the low bits need the full avalanche.
-std::size_t hashTime(std::int64_t ns) {
-  auto x = static_cast<std::uint64_t>(ns);
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return static_cast<std::size_t>(x);
-}
-}  // namespace
-
-void Simulator::siftUp(std::size_t i) {
-  const HeapEntry e = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / kHeapArity;
-    if (e.timeNs >= heap_[parent].timeNs) break;
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = e;
-}
-
-void Simulator::siftDown(std::size_t i) {
-  // Bottom-up deletion: sink the hole to a leaf choosing the min child at
-  // each level (no compares against the displaced element, which nearly
-  // always belongs back near the leaves), then bubble the displaced element
-  // up the hole's path. Saves ~half the comparisons of the classic
-  // compare-down on large heaps.
-  const std::size_t n = heap_.size();
-  const HeapEntry e = heap_[i];
-  std::size_t hole = i;
-  for (;;) {
-    const std::size_t first = hole * kHeapArity + 1;
-    if (first >= n) break;
-    const std::size_t last = std::min(first + kHeapArity, n);
-    std::size_t best = first;
-    for (std::size_t c = first + 1; c < last; ++c) {
-      if (heap_[c].timeNs < heap_[best].timeNs) best = c;
-    }
-    __builtin_prefetch(&heap_[std::min(best * kHeapArity + 1, n - 1)]);
-    heap_[hole] = heap_[best];
-    hole = best;
-  }
-  while (hole > i) {
-    const std::size_t parent = (hole - 1) / kHeapArity;
-    if (e.timeNs >= heap_[parent].timeNs) break;
-    heap_[hole] = heap_[parent];
-    hole = parent;
-  }
-  heap_[hole] = e;
-}
-
-void Simulator::growTimeMap() {
-  const std::size_t newSize = timeMap_.empty() ? 64 : timeMap_.size() * 2;
-  std::vector<TimeCell> old = std::move(timeMap_);
-  timeMap_.assign(newSize, TimeCell{kEmptyTime, 0});
-  const std::size_t mask = newSize - 1;
-  for (const TimeCell& c : old) {
-    if (c.timeNs == kEmptyTime) continue;
-    std::size_t i = hashTime(c.timeNs) & mask;
-    while (timeMap_[i].timeNs != kEmptyTime) i = (i + 1) & mask;
-    timeMap_[i] = c;
-  }
-}
-
-std::uint32_t Simulator::bucketFor(std::int64_t timeNs) {
-  if ((timeMapUsed_ + 1) * 4 >= timeMap_.size() * 3) growTimeMap();
-  const std::size_t mask = timeMap_.size() - 1;
-  std::size_t i = hashTime(timeNs) & mask;
-  for (;;) {
-    TimeCell& cell = timeMap_[i];
-    if (cell.timeNs == timeNs) return cell.bucket;
-    if (cell.timeNs == kEmptyTime) {
-      std::uint32_t index;
-      if (!freeBuckets_.empty()) {
-        index = freeBuckets_.back();
-        freeBuckets_.pop_back();
-      } else {
-        index = static_cast<std::uint32_t>(buckets_.size());
-        // detlint:allow(hotpath-alloc) overflow-bucket table growth, recycled
-        // through freeBuckets_ — bounded by the high-water mark of distinct
-        // beyond-horizon times, not by event count.
-        buckets_.emplace_back();
-      }
-      cell.timeNs = timeNs;
-      cell.bucket = index;
-      ++timeMapUsed_;
-      heap_.push_back(HeapEntry{timeNs, index});
-      siftUp(heap_.size() - 1);
-      return index;
-    }
-    i = (i + 1) & mask;
-  }
-}
-
-void Simulator::releaseBucket(std::uint32_t index) {
-  Bucket& b = buckets_[index];
-  b.head = 0;
-  b.count = 0;
-  b.more.clear();  // keeps capacity — steady-state appends never allocate
-  freeBuckets_.push_back(index);
-}
-
-void Simulator::eraseTime(std::int64_t timeNs) {
-  const std::size_t mask = timeMap_.size() - 1;
-  std::size_t hole = hashTime(timeNs) & mask;
-  while (timeMap_[hole].timeNs != timeNs) hole = (hole + 1) & mask;
-  // Backward-shift deletion: keeps probe chains intact without tombstones.
-  for (std::size_t j = (hole + 1) & mask; timeMap_[j].timeNs != kEmptyTime;
-       j = (j + 1) & mask) {
-    const std::size_t home = hashTime(timeMap_[j].timeNs) & mask;
-    if (((j - home) & mask) >= ((j - hole) & mask)) {
-      timeMap_[hole] = timeMap_[j];
-      hole = j;
-    }
-  }
-  timeMap_[hole].timeNs = kEmptyTime;
-  --timeMapUsed_;
-}
 
 std::uint32_t Simulator::acquireSlot() {
   if (!freeSlots_.empty()) {
@@ -151,14 +27,14 @@ std::uint32_t Simulator::acquireSlot() {
 void Simulator::releaseSlot(std::uint32_t index) {
   Slot& slot = slotAt(index);
   slot.live = false;
-  ++slot.generation;  // kills outstanding EventIds and stale heap entries
+  ++slot.generation;  // kills outstanding EventIds and stale queue entries
   slot.cb.reset();
   freeSlots_.push_back(index);
 }
 
 // detlint:hotpath every event in the run passes through here; schedule must
-// stay pool-recycled (slots, wheel lanes, buckets) so a 100k-avatar run's
-// steady state never touches the heap.
+// stay pool-recycled (slots, wheel lanes, the overflow heap's capacity) so a
+// 100k-avatar run's steady state never touches the allocator.
 MSIM_HOT EventId Simulator::schedule(TimePoint t, Callback cb) {
   return scheduleStamped(t, ++localStampCounter_, std::move(cb));
 }
@@ -184,14 +60,8 @@ MSIM_HOT EventId Simulator::scheduleStamped(TimePoint t, std::uint64_t stamp,
     wheelInsert(WheelEntry{tNs, slot.seq, index, slot.generation},
                 /*fromAdvance=*/false);
   } else {
-    Bucket& b = buckets_[bucketFor(tNs)];
-    if (b.count == 0) {
-      b.first = BucketRef{index, slot.generation};
-    } else {
-      b.more.push_back(BucketRef{index, slot.generation});
-    }
-    ++b.count;
-    ++overflowEvents_;
+    overflow_.push_back(WheelEntry{tNs, slot.seq, index, slot.generation});
+    std::push_heap(overflow_.begin(), overflow_.end(), laterThan);
   }
   ++liveEvents_;
   ++pendingEntries_;
@@ -437,34 +307,24 @@ void Simulator::cascadeLane(int level, std::uint32_t lane) {
 }
 
 void Simulator::promoteOverflow() {
-  // Whole buckets (one far timestamp each) enter the wheel once their time
-  // fits the top level's horizon. Bucket FIFO order is seq order, so the
-  // (time, seq) dispatch contract survives the move.
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_.front();
-    if ((top.timeNs >> kWheelTopShift) - (wheelNowNs_ >> kWheelTopShift) >=
-        static_cast<std::int64_t>(kWheelSlots)) {
-      break;
+  // Entries enter the wheel once their time fits the top level's horizon.
+  // The heap pops in (time, seq) order, so the dispatch contract survives
+  // the move.
+  while (!overflow_.empty() &&
+         (overflow_.front().timeNs >> kWheelTopShift) -
+                 (wheelNowNs_ >> kWheelTopShift) <
+             static_cast<std::int64_t>(kWheelSlots)) {
+    std::pop_heap(overflow_.begin(), overflow_.end(), laterThan);
+    const WheelEntry e = overflow_.back();
+    overflow_.pop_back();
+    const Slot& slot = slotAt(e.slot);
+    if (slot.generation != e.gen || !slot.live) {  // cancelled
+      --pendingEntries_;
+      continue;
     }
-    Bucket& b = buckets_[top.bucket];
-    for (std::uint32_t i = b.head; i < b.count; ++i) {
-      const BucketRef ref = i == 0 ? b.first : b.more[i - 1];
-      --overflowEvents_;
-      const Slot& slot = slotAt(ref.slot);
-      if (slot.generation != ref.gen || !slot.live) {  // cancelled
-        --pendingEntries_;
-        continue;
-      }
-      ++cascades_;
-      ++wheelEvents_;
-      wheelInsert(WheelEntry{top.timeNs, slot.seq, ref.slot, ref.gen},
-                  /*fromAdvance=*/true);
-    }
-    releaseBucket(top.bucket);
-    eraseTime(top.timeNs);
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) siftDown(0);
+    ++cascades_;
+    ++wheelEvents_;
+    wheelInsert(e, /*fromAdvance=*/true);
   }
 }
 
@@ -486,7 +346,7 @@ bool Simulator::advanceWheel(std::int64_t limitNs) {
   // advance late and the clock would step backwards.
   bool merging = false;
   while (drainRun_.empty() || merging) {
-    if (!heap_.empty()) {
+    if (!overflow_.empty()) {
       promoteOverflow();
       merging = !drainRun_.empty();
     }
@@ -518,10 +378,10 @@ bool Simulator::advanceWheel(std::int64_t limitNs) {
       break;  // nothing left that reaches into the cursor's lane
     }
     if (bestLevel < 0) {
-      if (heap_.empty()) return false;  // no pending events anywhere
+      if (overflow_.empty()) return false;  // no pending events anywhere
       // Overflow only, beyond the horizon: jump the cursor toward its top
       // timestamp (never past the run limit) and let promotion pull it in.
-      const std::int64_t top = heap_.front().timeNs;
+      const std::int64_t top = overflow_.front().timeNs;
       if (top > limitNs) {
         wheelNowNs_ = std::max(wheelNowNs_, laneAlign(limitNs));
         return false;
@@ -669,7 +529,7 @@ TimePoint Simulator::nextEventTimeLowerBound() const {
     }
     best = std::min(best, laneBest == kNone ? windowStart : laneBest);
   }
-  if (!heap_.empty()) best = std::min(best, heap_.front().timeNs);
+  if (!overflow_.empty()) best = std::min(best, overflow_.front().timeNs);
   if (best == kNone) return TimePoint::max();
   return TimePoint::fromNanos(std::max(best, now_.toNanos()));
 }

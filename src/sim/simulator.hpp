@@ -12,14 +12,14 @@
 //    level, ~134ms horizon) so the dominant all-distinct-timestamp regime
 //    (link transmissions, per-connection timeouts, jittered avatar ticks)
 //    pays one lane append per schedule — no hash probe, no big-heap sift.
-//    Far-future events park in an overflow tier (a 4-ary heap over distinct
-//    timestamps with FIFO buckets) and cascade down the wheel levels as the
-//    clock advances; see DESIGN.md §10 for the cascade rules.
+//    Far-future events park in an overflow tier (a binary min-heap by
+//    (time, seq)) and cascade down the wheel levels as the clock advances;
+//    see DESIGN.md §10 for the cascade rules.
 //  * Allocation-free hot path: callbacks live in a generation-counted slot
 //    pool (recycled via a free list) and are stored as small-buffer
-//    UniqueFunctions; wheel lanes, the dispatch drain run, and overflow
-//    buckets all recycle their storage, so steady-state schedule/fire
-//    cycles never touch the heap.
+//    UniqueFunctions; wheel lanes, the dispatch drain run, and the overflow
+//    heap all recycle their storage, so steady-state schedule/fire cycles
+//    never touch the allocator.
 //  * Cancellable: schedule() returns an EventId = {slot, generation};
 //    cancel() frees the slot in O(1) and bumps its generation, so the id
 //    (and any stale wheel/overflow entry) is dead immediately — valid() is
@@ -36,7 +36,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -142,9 +141,9 @@ class Simulator {
   /// cancelled events.
   [[nodiscard]] std::size_t wheelEvents() const { return wheelEvents_; }
 
-  /// Entries currently parked in the far-future overflow tier (timestamp
-  /// heap + FIFO buckets), including tombstones.
-  [[nodiscard]] std::size_t overflowEvents() const { return overflowEvents_; }
+  /// Entries currently parked in the far-future overflow heap, including
+  /// tombstones.
+  [[nodiscard]] std::size_t overflowEvents() const { return overflow_.size(); }
 
   /// Cumulative count of live entries re-homed as the clock advanced:
   /// overflow → wheel promotions plus wheel-level cascades. Tombstones
@@ -249,10 +248,11 @@ class Simulator {
   // A higher-level lane reached by the cursor cascades: its entries re-home
   // into finer levels (or the drain run) with their exact times, so
   // nothing is ever dispatched at lane granularity. Events beyond the
-  // horizon park in the overflow tier below and are promoted bucket-by-
-  // bucket as the cursor advances. Cancelled entries are tombstones wherever
-  // they sit (the slot generation is the liveness oracle); any cascade or
-  // flush that touches one drops it on the spot.
+  // horizon park in the overflow heap and are promoted entry by entry, in
+  // (time, seq) order, as the cursor advances. Cancelled entries are
+  // tombstones wherever they sit (the slot generation is the liveness
+  // oracle); any cascade, flush or promotion that touches one drops it on
+  // the spot.
   struct WheelEntry {
     std::int64_t timeNs;
     std::uint64_t seq;
@@ -296,55 +296,19 @@ class Simulator {
   static constexpr int kWheelTopShift =
       kWheelBaseShift + kWheelLevelShiftStep * (kWheelLevels - 1);
 
-  // ---- overflow tier (far-future events, beyond the wheel horizon) -------
-  //
-  // The PR-1 bucketed queue, demoted: a 4-ary implicit min-heap over
-  // *distinct* timestamps, plus a FIFO bucket of {slot, gen} references per
-  // timestamp (reached through an open-addressed time → bucket map). Far
-  // timers are bursty-at-a-timestamp (aligned keepalives, batch deadlines),
-  // so a burst of B same-time events still costs one heap operation. Whole
-  // buckets are promoted into the wheel once their timestamp enters the
-  // horizon; FIFO bucket order is seq order, so promotion preserves the
-  // (time, seq) dispatch contract. A bucket's first entry is stored inline,
-  // so all-distinct overflow workloads never allocate a bucket vector.
-  // `gen` detects entries whose slot was cancelled and possibly reused.
-  // The callback stays put in its slot until fired.
-  struct HeapEntry {
-    std::int64_t timeNs;
-    std::uint32_t bucket;
-  };
-  struct BucketRef {
-    std::uint32_t slot;
-    std::uint32_t gen;
-  };
-  struct Bucket {
-    BucketRef first{};               // inline storage for the common singleton
-    std::vector<BucketRef> more;     // FIFO overflow, appended after `first`
-    std::uint32_t head{0};           // entries consumed so far
-    std::uint32_t count{0};          // entries appended so far
-  };
-  // Open-addressing cell of the time → bucket map (linear probing,
-  // backward-shift deletion, power-of-two capacity). kEmptyTime is
-  // unreachable as a key: schedule() clamps to now_, which never goes
-  // negative.
-  struct TimeCell {
-    std::int64_t timeNs;
-    std::uint32_t bucket;
-  };
-  static constexpr std::int64_t kEmptyTime =
-      std::numeric_limits<std::int64_t>::min();
+  // Overflow tier (far-future events, beyond the wheel horizon): a binary
+  // min-heap of WheelEntry by (time, seq), kept with std::push_heap and
+  // std::pop_heap under this "later than" comparator.
+  [[nodiscard]] static bool laterThan(const WheelEntry& a,
+                                      const WheelEntry& b) {
+    return a.timeNs > b.timeNs || (a.timeNs == b.timeNs && a.seq > b.seq);
+  }
 
   [[nodiscard]] Slot& slotAt(std::uint32_t i) const {
     return slotChunks_[i >> kSlotChunkShift][i & (kSlotChunkSize - 1)];
   }
   std::uint32_t acquireSlot();
   void releaseSlot(std::uint32_t index);
-  void siftUp(std::size_t i);
-  void siftDown(std::size_t i);
-  std::uint32_t bucketFor(std::int64_t timeNs);  // creates on first use
-  void releaseBucket(std::uint32_t index);
-  void eraseTime(std::int64_t timeNs);
-  void growTimeMap();
 
   // Wheel internals (simulator.cpp): lane/bitmap addressing, the sorted
   // (time, seq) drain run, and the cascade machinery.
@@ -395,14 +359,8 @@ class Simulator {
   bool drainSortPending_{false};
   std::int64_t wheelNowNs_{0};
   std::size_t wheelEvents_{0};
-  std::size_t overflowEvents_{0};
   std::uint64_t cascades_{0};
-  // Overflow tier state (heap over distinct far timestamps + FIFO buckets).
-  std::vector<HeapEntry> heap_;
-  std::vector<Bucket> buckets_;
-  std::vector<std::uint32_t> freeBuckets_;
-  std::vector<TimeCell> timeMap_;  // grown lazily on first far schedule
-  std::size_t timeMapUsed_{0};
+  std::vector<WheelEntry> overflow_;  // min-heap by (time, seq); laterThan
   std::vector<std::unique_ptr<Slot[]>> slotChunks_;
   std::uint32_t slotCount_{0};
   std::vector<std::uint32_t> freeSlots_;

@@ -100,6 +100,27 @@ TEST(PdesLowerBound, ConservativeUnderCancellation) {
   EXPECT_EQ(sim.nextEventTimeLowerBound(), TimePoint::max());
 }
 
+TEST(PdesLowerBound, OverflowOnlyIncludingTombstoneFront) {
+  // Both events lie beyond the timer wheel's ~134ms horizon, so the bound
+  // comes from the overflow heap alone. Cancelling the earlier one leaves a
+  // tombstone at the heap's front, which may hold the bound early but must
+  // not push it past the live 300ms event.
+  Simulator sim{1};
+  const auto early = sim.scheduleAfter(Duration::millis(200), [] {});
+  sim.scheduleAfter(Duration::millis(300), [] {});
+  ASSERT_EQ(sim.overflowEvents(), 2u);
+  EXPECT_EQ(sim.nextEventTimeLowerBound(),
+            TimePoint::epoch() + Duration::millis(200));
+
+  sim.cancel(early);
+  const TimePoint lb = sim.nextEventTimeLowerBound();
+  EXPECT_LE(lb, TimePoint::epoch() + Duration::millis(300));
+  EXPECT_GE(lb, sim.now());
+
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(sim.nextEventTimeLowerBound(), TimePoint::max());
+}
+
 // ----------------------------------------------------------- engine rules
 
 TEST(PdesEngine, SendWithoutLinkThrows) {

@@ -14,8 +14,11 @@
 // seed-sweep worker pool; the default comes from MSIM_THREADS or the
 // hardware concurrency. Results are identical for any thread count.
 //
-// Everything prints to stdout; exit code 0 on success, 2 on usage errors.
+// Everything prints to stdout; exit code 0 on success, 2 on usage errors
+// (including a count, `trace` duration or `--threads` value that is not a
+// whole positive number).
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -61,6 +64,18 @@ int usage() {
                "  survey <platform> [region] | trace <platform> <seconds> |\n"
                "  script <platform> <file>\n");
   return 2;
+}
+
+// Reads `text` as a whole positive number ("3"; not "abc", "-3", "2.5" or
+// "0"). On anything else prints a message naming `what` and returns 0.
+int positiveCount(const char* text, const char* what) {
+  const char* end = text + std::strlen(text);
+  int n = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, n);
+  if (ec == std::errc{} && ptr == end && n > 0) return n;
+  std::fprintf(stderr, "msim: %s must be a whole positive number, got '%s'\n",
+               what, text);
+  return 0;
 }
 
 int cmdPlatforms() {
@@ -162,7 +177,7 @@ int cmdSurvey(const PlatformSpec& spec, const std::string& regionName) {
   return 0;
 }
 
-int cmdTrace(const PlatformSpec& spec, double seconds) {
+int cmdTrace(const PlatformSpec& spec, int seconds) {
   Testbed bed{1};
   bed.deploy(spec);
   TestUser& u1 = bed.addUser();
@@ -224,8 +239,14 @@ int main(int argc, char** argv) {
   // sweep picks the count up through MSIM_THREADS.
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      setenv("MSIM_THREADS", argv[++i], /*overwrite=*/1);
+    if (std::strcmp(argv[i], "--threads") == 0) {
+      if (i + 1 == argc) {
+        std::fprintf(stderr, "msim: --threads needs a value\n");
+        return 2;
+      }
+      const char* value = argv[++i];
+      if (positiveCount(value, "--threads") == 0) return 2;
+      setenv("MSIM_THREADS", value, /*overwrite=*/1);
       continue;
     }
     args.emplace_back(argv[i]);
@@ -248,19 +269,31 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "msim: unknown platform '%s'\n", argv[2]);
     return 2;
   }
+  // The optional count at argv[i], or `fallback` when absent; 0 if malformed.
+  const auto count = [&](int i, const char* what, int fallback) {
+    return argc > i ? positiveCount(argv[i], what) : fallback;
+  };
   if (cmd == "throughput") {
-    return cmdThroughput(spec, argc > 3 ? std::atoi(argv[3]) : 5);
+    const int seeds = count(3, "seeds", 5);
+    return seeds == 0 ? 2 : cmdThroughput(spec, seeds);
   }
   if (cmd == "sweep" && argc >= 4) {
-    return cmdSweep(spec, std::atoi(argv[3]), argc > 4 ? std::atoi(argv[4]) : 3);
+    const int users = count(3, "users", 0);
+    if (users == 0) return 2;
+    const int seeds = count(4, "seeds", 3);
+    return seeds == 0 ? 2 : cmdSweep(spec, users, seeds);
   }
   if (cmd == "latency") {
-    return cmdLatency(spec, argc > 3 ? std::atoi(argv[3]) : 2);
+    const int users = count(3, "users", 2);
+    return users == 0 ? 2 : cmdLatency(spec, users);
   }
   if (cmd == "survey") {
     return cmdSurvey(spec, argc > 3 ? argv[3] : "us-east");
   }
-  if (cmd == "trace" && argc >= 4) return cmdTrace(spec, std::atof(argv[3]));
+  if (cmd == "trace" && argc >= 4) {
+    const int seconds = count(3, "seconds", 0);
+    return seconds == 0 ? 2 : cmdTrace(spec, seconds);
+  }
   if (cmd == "script" && argc >= 4) return cmdScript(spec, argv[3]);
   return usage();
 }

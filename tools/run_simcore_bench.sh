@@ -69,7 +69,7 @@ if [ -n "${MSIM_BENCH_BASELINE:-}" ]; then
     --max-alloc ${MSIM_BENCH_MAX_ALLOC:-1e-6}"
   # shellcheck disable=SC2086
   python3 "$(dirname "$0")/bench_diff.py" "$MSIM_BENCH_BASELINE" "$OUT" \
-    --only "${MSIM_BENCH_ONLY:-BM_InterestGridFanout|BM_RelayBroadcast|BM_SessionChurnSteady|BM_UdpSteadyStatePacketPool}" \
+    --only "${MSIM_BENCH_ONLY:-BM_InterestGridFanout|BM_RelayBroadcastSoA|BM_SessionChurnSteady|BM_UdpSteadyStatePacketPool}" \
     $DIFF_ARGS
 fi
 
