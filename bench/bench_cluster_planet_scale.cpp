@@ -16,12 +16,15 @@
 //
 // Threads-sweep mode (`--threads-sweep` or MSIM_PDES_SWEEP=1): runs ONE
 // seed of the same workload on the PDES-partitioned cluster
-// (cluster/partitioned.hpp) at 1/2/4/8 engine workers, reports wall-clock
-// speedup and events/s-per-core, asserts the audit digest is byte-identical
-// across all worker counts, and emits a benchmark JSON (stdout, plus
-// MSIM_PDES_JSON=<path> to write a file) whose context records the host
-// core count and CPU model so committed baselines are comparable across
-// machines.
+// (cluster/partitioned.hpp) at 1/2/4/8 engine workers, three times, each
+// repetition starting the worker-count order one step further along
+// (1,2,4,8 / 2,4,8,1 / 4,8,1,2) so no count always runs cold. It prints
+// every run's setup and wall time, reports per count the median and
+// min-max wall time, the median-based speedup and events/s-per-core,
+// asserts the audit digest is byte-identical across every run, and emits
+// a benchmark JSON (stdout, plus MSIM_PDES_JSON=<path> to write a file)
+// whose context records the host core count and CPU model so committed
+// baselines are comparable across machines.
 //
 // Million mode (`--million` or MSIM_PDES_MILLION=1): the headline run —
 // 1,000,000 users on >= 64 shard partitions (MSIM_CLUSTER_USERS /
@@ -33,16 +36,23 @@
 // between ring neighbours, and a mid-run drain of the last shard. The
 // population is bulk pre-reserved (rooms, grid cells, gateway book) before
 // any user joins, so setup does one allocation pass instead of a million
-// rehashes. Reports events/s-per-core, wall-clock speedup, and peak RSS
-// (VmHWM — a process-wide high-water mark, so the headline number is the
-// final row's), and exits nonzero unless the audit digest is byte-identical
+// rehashes, and each shard partition fills its own room on the engine's
+// worker pool (setup is timed per row). Reports events/s-per-core,
+// wall-clock speedup, and each row's own peak RSS (VmHWM, reset through
+// /proc/self/clear_refs before the row; "n/a" where the kernel refuses the
+// reset), and exits nonzero unless the audit digest is byte-identical
 // across {1,2,8} workers, zero deliveries were lost, and the ghost ledger
 // balances exactly.
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
+#include <cstdio>
 #include <fstream>
 #include <string>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 #include <thread>
 #include <vector>
 
@@ -234,6 +244,7 @@ std::string cpuModel() {
 
 struct SweepRow {
   unsigned threads{1};
+  double setupSeconds{0.0};
   double wallSeconds{0.0};
   std::uint64_t events{0};
   std::uint64_t rounds{0};
@@ -253,7 +264,10 @@ SweepRow runPartitioned(unsigned threads, int users, int instances,
   cfg.updateProto.kind = avatarmsg::kPoseUpdate;
   cfg.updateProto.size = avatar.bytesPerUpdate;
   cfg.updateRateHz = avatar.updateRateHz;
+  const WallClock::time_point s0 = WallClock::now();
   cluster::PartitionedCluster run{std::move(cfg)};
+  const double setup =
+      std::chrono::duration<double>(WallClock::now() - s0).count();
   run.scheduleDrain(static_cast<std::uint32_t>(instances - 1),
                     TimePoint::epoch() + measure * 0.5);
 
@@ -265,6 +279,7 @@ SweepRow runPartitioned(unsigned threads, int users, int instances,
 
   SweepRow row;
   row.threads = threads;
+  row.setupSeconds = setup;
   row.wallSeconds = wall;
   row.events = stats.engine.eventsExecuted;
   row.rounds = stats.engine.rounds;
@@ -272,6 +287,24 @@ SweepRow runPartitioned(unsigned threads, int users, int instances,
   row.lost = stats.expectedDeliveries - stats.delivered;
   row.migratedUsers = stats.migratedUsers;
   return row;
+}
+
+/// One worker count's repetitions, summarised.
+struct SweepSummary {
+  unsigned threads{1};
+  double wallMedian{0.0};
+  double wallMin{0.0};
+  double wallMax{0.0};
+  double setupMedian{0.0};
+  std::uint64_t events{0};
+  std::uint64_t rounds{0};
+  std::uint64_t digest{0};
+};
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
 int runThreadsSweep(int users, int instances, Duration measure) {
@@ -284,22 +317,62 @@ int runThreadsSweep(int users, int instances, Duration measure) {
   const unsigned hostCores = std::thread::hardware_concurrency();
   const std::string model = cpuModel();
   const std::vector<unsigned> counts = {1, 2, 4, 8};
-  std::vector<SweepRow> rows;
-  rows.reserve(counts.size());
-  for (const unsigned n : counts) {
-    rows.push_back(runPartitioned(n, users, instances, measure));
+  constexpr std::size_t kRepetitions = 3;
+  // Repetition r starts r steps into the worker-count list, so the cold
+  // first run of the process lands on a different count each time.
+  std::vector<SweepRow> runs;
+  runs.reserve(counts.size() * kRepetitions);
+  for (std::size_t rep = 0; rep < kRepetitions; ++rep) {
+    for (std::size_t k = 0; k < counts.size(); ++k) {
+      const unsigned n = counts[(rep + k) % counts.size()];
+      runs.push_back(runPartitioned(n, users, instances, measure));
+      const SweepRow& r = runs.back();
+      std::printf("  [rep %zu, %u worker%s] wall %.3fs (+%.3fs setup), %" PRIu64
+                  " events, %" PRIu64 " rounds\n",
+                  rep + 1, r.threads, r.threads == 1 ? "" : "s",
+                  r.wallSeconds, r.setupSeconds, r.events, r.rounds);
+    }
   }
 
-  const double base = rows.front().wallSeconds;
-  TablePrinter table{{"threads", "wall s", "speedup", "events/s",
-                      "events/s/core", "rounds", "digest"}};
-  for (const SweepRow& r : rows) {
-    const double perSec =
-        r.wallSeconds > 0.0 ? static_cast<double>(r.events) / r.wallSeconds : 0.0;
+  std::vector<SweepSummary> rows;
+  for (const unsigned n : counts) {
+    SweepSummary sum;
+    sum.threads = n;
+    std::vector<double> walls;
+    std::vector<double> setups;
+    for (const SweepRow& r : runs) {
+      if (r.threads != n) continue;
+      walls.push_back(r.wallSeconds);
+      setups.push_back(r.setupSeconds);
+      sum.events = r.events;
+      sum.rounds = r.rounds;
+      sum.digest = r.digest;
+    }
+    sum.wallMedian = median(walls);
+    sum.wallMin = *std::min_element(walls.begin(), walls.end());
+    sum.wallMax = *std::max_element(walls.begin(), walls.end());
+    sum.setupMedian = median(setups);
+    rows.push_back(sum);
+  }
+
+  const double base = rows.front().wallMedian;
+  auto speedup = [base](const SweepSummary& r) {
+    return r.wallMedian > 0.0 ? base / r.wallMedian : 0.0;
+  };
+  auto eventsPerSec = [](const SweepSummary& r) {
+    return r.wallMedian > 0.0 ? static_cast<double>(r.events) / r.wallMedian
+                              : 0.0;
+  };
+  TablePrinter table{{"threads", "wall s (median)", "min-max", "setup s",
+                      "speedup", "events/s", "events/s/core", "rounds",
+                      "digest"}};
+  for (const SweepSummary& r : rows) {
+    const double perSec = eventsPerSec(r);
     char digestHex[32];
     std::snprintf(digestHex, sizeof(digestHex), "%016" PRIx64, r.digest);
-    table.addRow({std::to_string(r.threads), fmtD(r.wallSeconds, 3),
-                  fmtD(r.wallSeconds > 0.0 ? base / r.wallSeconds : 0.0, 2),
+    table.addRow({std::to_string(r.threads), fmtD(r.wallMedian, 3),
+                  fmtD(r.wallMin, 3) + "-" + fmtD(r.wallMax, 3),
+                  fmtD(r.setupMedian, 3), fmtD(speedup(r), 2),
                   fmtD(perSec / 1e6, 3) + "M",
                   fmtD(perSec / 1e6 / r.threads, 3) + "M",
                   std::to_string(r.rounds), digestHex});
@@ -308,18 +381,18 @@ int runThreadsSweep(int users, int instances, Duration measure) {
 
   bool digestsMatch = true;
   std::uint64_t lostTotal = 0;
-  for (const SweepRow& r : rows) {
-    digestsMatch = digestsMatch && r.digest == rows.front().digest;
+  for (const SweepRow& r : runs) {
+    digestsMatch = digestsMatch && r.digest == runs.front().digest;
     lostTotal += r.lost;
   }
-  const double speedup8 =
-      rows.back().wallSeconds > 0.0 ? base / rows.back().wallSeconds : 0.0;
-  std::printf("\ndigest check: %s across {1,2,4,8} workers\n",
-              digestsMatch ? "byte-identical" : "DIVERGED");
+  std::printf("\ndigest check: %s across {1,2,4,8} workers x %zu "
+              "repetitions\n",
+              digestsMatch ? "byte-identical" : "DIVERGED", kRepetitions);
   std::printf("zero-loss check: %" PRIu64 " deliveries lost (must be 0)\n",
               lostTotal);
-  std::printf("speedup at 8 workers: %.2fx on a %u-core host\n", speedup8,
-              hostCores);
+  std::printf("speedup at 8 workers: %.2fx (median of %zu) on a %u-core "
+              "host\n",
+              speedup(rows.back()), kRepetitions, hostCores);
 
   // Benchmark JSON: host context + one row per worker count.
   std::string json = "{\n  \"context\": {\n";
@@ -327,21 +400,23 @@ int runThreadsSweep(int users, int instances, Duration measure) {
   json += "    \"cpu_model\": \"" + model + "\",\n";
   json += "    \"users\": " + std::to_string(users) + ",\n";
   json += "    \"shards\": " + std::to_string(instances) + ",\n";
+  json += "    \"repetitions\": " + std::to_string(kRepetitions) + ",\n";
   json += "    \"measure_s\": " + fmtD(measure.toSeconds(), 1) + "\n  },\n";
   json += "  \"benchmarks\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const SweepRow& r = rows[i];
-    const double perSec =
-        r.wallSeconds > 0.0 ? static_cast<double>(r.events) / r.wallSeconds : 0.0;
+    const SweepSummary& r = rows[i];
+    const double perSec = eventsPerSec(r);
     char digestHex[32];
     std::snprintf(digestHex, sizeof(digestHex), "%016" PRIx64, r.digest);
     json += "    {\"name\": \"BM_ClusterPdes/threads:" +
             std::to_string(r.threads) + "\", \"real_time\": " +
-            fmtD(r.wallSeconds, 6) + ", \"time_unit\": \"s\", " +
+            fmtD(r.wallMedian, 6) + ", \"time_unit\": \"s\", " +
+            "\"real_time_min\": " + fmtD(r.wallMin, 6) + ", " +
+            "\"real_time_max\": " + fmtD(r.wallMax, 6) + ", " +
+            "\"setup_s\": " + fmtD(r.setupMedian, 6) + ", " +
             "\"items_per_second\": " + fmtD(perSec, 1) + ", " +
             "\"events_per_second_per_core\": " + fmtD(perSec / r.threads, 1) +
-            ", \"speedup\": " +
-            fmtD(r.wallSeconds > 0.0 ? base / r.wallSeconds : 0.0, 3) +
+            ", \"speedup\": " + fmtD(speedup(r), 3) +
             ", \"rounds\": " + std::to_string(r.rounds) + ", \"digest\": \"" +
             digestHex + "\"}";
     json += i + 1 < rows.size() ? ",\n" : "\n";
@@ -358,9 +433,22 @@ int runThreadsSweep(int users, int instances, Duration measure) {
 
 // ---- million mode (1M users, 64+ shards, interest-scoped) -----------------
 
-/// Process peak resident set (VmHWM) in MB. A high-water mark: it only ever
-/// rises, so per-row values after the first run are lower bounds from the
-/// earlier runs and the final row is the honest headline.
+/// Resets the process's peak resident set (VmHWM) to its current resident
+/// set, so the next peakRssMb() covers only what runs after the reset.
+/// Free heap pages the earlier rows left in the allocator's arenas are
+/// handed back first, so they don't count toward the next row's peak.
+/// False when the kernel refuses the write.
+bool resetPeakRss() {
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
+  std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
+  if (f == nullptr) return false;
+  const bool wrote = std::fputs("5", f) >= 0;
+  return std::fclose(f) == 0 && wrote;
+}
+
+/// Process peak resident set (VmHWM) in MB since the last resetPeakRss().
 double peakRssMb() {
   std::ifstream in{"/proc/self/status"};
   std::string line;
@@ -385,8 +473,11 @@ struct MillionRow {
   std::uint64_t migrationHops{0};
   std::uint64_t ghostsSent{0};
   std::uint64_t ghostsReceived{0};
-  double peakRssMb{0.0};
+  double peakRssMb{-1.0};  // negative: the peak could not be reset (n/a)
 };
+
+/// A per-row peak for printing: "n/a" when the row's reset failed.
+std::string fmtPeak(double mb) { return mb < 0.0 ? "n/a" : fmtD(mb, 0); }
 
 MillionRow runMillion(unsigned threads, int users, int shards,
                       Duration measure) {
@@ -411,6 +502,7 @@ MillionRow runMillion(unsigned threads, int users, int shards,
   cfg.interestForwarding = true;
   cfg.ghostRadiusM = 25.0;
 
+  const bool peakReset = resetPeakRss();
   const WallClock::time_point s0 = WallClock::now();
   cluster::PartitionedCluster run{std::move(cfg)};
   const double setup =
@@ -437,7 +529,7 @@ MillionRow runMillion(unsigned threads, int users, int shards,
   row.migrationHops = stats.migrationHops;
   row.ghostsSent = stats.ghostsSent;
   row.ghostsReceived = stats.ghostsReceived;
-  row.peakRssMb = peakRssMb();
+  if (peakReset) row.peakRssMb = peakRssMb();
   return row;
 }
 
@@ -456,9 +548,10 @@ int runMillionMode(int users, int shards, Duration measure) {
     rows.push_back(runMillion(n, users, shards, measure));
     const MillionRow& r = rows.back();
     std::printf("  [%u worker%s] wall %.3fs (+%.3fs setup), %" PRIu64
-                " events, %" PRIu64 " rounds, peak RSS %.0f MB\n",
+                " events, %" PRIu64 " rounds, peak RSS %s MB\n",
                 r.threads, r.threads == 1 ? "" : "s", r.wallSeconds,
-                r.setupSeconds, r.events, r.rounds, r.peakRssMb);
+                r.setupSeconds, r.events, r.rounds,
+                fmtPeak(r.peakRssMb).c_str());
   }
 
   const double base = rows.front().wallSeconds;
@@ -476,7 +569,7 @@ int runMillionMode(int users, int shards, Duration measure) {
                   fmtD(perSec / 1e6, 3) + "M",
                   fmtD(perSec / 1e6 / r.threads, 3) + "M",
                   std::to_string(r.rounds), std::to_string(r.coalescedWindows),
-                  fmtD(r.peakRssMb, 0), digestHex});
+                  fmtPeak(r.peakRssMb), digestHex});
   }
   table.print(std::cout);
 
@@ -499,11 +592,18 @@ int runMillionMode(int users, int shards, Duration measure) {
   std::printf("drain: %" PRIu64 " users migrated in %" PRIu64
               " cross-partition hops (2 per direct-link migration)\n",
               first.migratedUsers, first.migrationHops);
-  std::printf("peak RSS: %.0f MB for %d users (%.1f KB/user) on a %u-core "
-              "host\n",
-              rows.back().peakRssMb, users,
-              rows.back().peakRssMb * 1024.0 / static_cast<double>(users),
-              hostCores);
+  double peak = -1.0;
+  for (const MillionRow& r : rows) peak = std::max(peak, r.peakRssMb);
+  if (peak >= 0.0) {
+    std::printf("peak RSS: %.0f MB for %d users (%.1f KB/user, largest "
+                "row) on a %u-core host\n",
+                peak, users, peak * 1024.0 / static_cast<double>(users),
+                hostCores);
+  } else {
+    std::printf("peak RSS: n/a (cannot reset VmHWM per row) on a %u-core "
+                "host\n",
+                hostCores);
+  }
 
   std::string json = "{\n  \"context\": {\n";
   json += "    \"host_cores\": " + std::to_string(hostCores) + ",\n";
@@ -528,7 +628,9 @@ int runMillionMode(int users, int shards, Duration measure) {
             fmtD(r.wallSeconds > 0.0 ? base / r.wallSeconds : 0.0, 3) +
             ", \"rounds\": " + std::to_string(r.rounds) +
             ", \"coalesced_windows\": " + std::to_string(r.coalescedWindows) +
-            ", \"peak_rss_mb\": " + fmtD(r.peakRssMb, 1) + ", \"digest\": \"" +
+            ", \"peak_rss_mb\": " +
+            (r.peakRssMb < 0.0 ? std::string{"null"} : fmtD(r.peakRssMb, 1)) +
+            ", \"digest\": \"" +
             digestHex + "\"}";
     json += i + 1 < rows.size() ? ",\n" : "\n";
   }

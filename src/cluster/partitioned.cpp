@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "audit/digest.hpp"
@@ -51,26 +52,15 @@ PartitionedCluster::PartitionedCluster(PartitionedClusterConfig cfg)
   // floored by the control-plane turnaround, plus (by default) a direct
   // shard <-> shard mesh at the raw trunk bound — the lanes migration
   // snapshots and interest-scoped ghosts ride instead of bouncing through
-  // control.
-  shards_.resize(shardCount);
+  // control. Declared serially, so the engine's link table keeps one order.
   for (std::uint32_t s = 0; s < shardCount; ++s) {
-    const Region& region = regionOf(s);
-    Duration lookahead = InternetFabric::trunkLookahead(controlRegion, region);
+    Duration lookahead =
+        InternetFabric::trunkLookahead(controlRegion, regionOf(s));
     if (lookahead.toNanos() < cfg_.controlLookahead.toNanos()) {
       lookahead = cfg_.controlLookahead;
     }
     engine_.link(0, partitionOf(s), lookahead);
     engine_.link(partitionOf(s), 0, lookahead);
-
-    Shard& shard = shards_[s];
-    shard.inst = std::make_unique<RelayInstance>(
-        engine_.partition(partitionOf(s)).sim(), s, region, cfg_.dataSpec,
-        cfg_.capacity);
-    shard.inst->activate();
-    shard.inst->setDeliverySink(
-        [this, s](std::uint32_t, std::uint64_t, const Message&) {
-          ++shards_[s].delivered;
-        });
   }
   if (cfg_.directShardLinks) {
     for (std::uint32_t s = 0; s < shardCount; ++s) {
@@ -82,12 +72,27 @@ PartitionedCluster::PartitionedCluster(PartitionedClusterConfig cfg)
     }
   }
 
+  // Placement: the gateway's LeastLoaded policy (accepting shard with the
+  // fewest assignments, lowest id on ties) over fresh, equal shards deals
+  // users round-robin, so user u lands on shard u % shards as the
+  // (u / shards)-th member. Every shard fills in lockstep until it reaches
+  // the smaller positive cap of softUserCap (the shard stops accepting) and
+  // maxEventUsers (the room refuses the join), and then every shard is
+  // full: exactly the users below shards x cap are placed. A shard's
+  // population is therefore a pure function of (shard, users, caps), and
+  // each shard partition builds its own room in parallel.
+  std::size_t placed = static_cast<std::size_t>(cfg_.users);
+  int cap = cfg_.capacity.softUserCap;
+  if (cfg_.dataSpec.maxEventUsers > 0 &&
+      (cap <= 0 || cfg_.dataSpec.maxEventUsers < cap)) {
+    cap = cfg_.dataSpec.maxEventUsers;
+  }
+  if (cap > 0) {
+    placed = std::min(placed, static_cast<std::size_t>(shardCount) *
+                                  static_cast<std::size_t>(cap));
+  }
   // Memory-lean bulk setup: pre-size every room for its expected share so a
-  // 1M-user construction never rehashes a column mid-join, and place users
-  // round-robin directly when no capacity knob can refuse a join — the
-  // LeastLoaded scan over fresh equal shards picks exactly u % shards, so
-  // the fast path is distribution-identical, just O(users) instead of
-  // O(users x shards).
+  // 1M-user construction never rehashes a column mid-join.
   const std::size_t perShard =
       (static_cast<std::size_t>(cfg_.users) + shardCount - 1) / shardCount;
   std::size_t slotsPerCell = 1;
@@ -97,43 +102,44 @@ PartitionedCluster::PartitionedCluster(PartitionedClusterConfig cfg)
     const double perAxis = cfg_.dataSpec.interestCellM / cfg_.latticeSpacingM;
     slotsPerCell = static_cast<std::size_t>(std::max(1.0, perAxis * perAxis));
   }
-  for (std::uint32_t s = 0; s < shardCount; ++s) {
-    shards_[s].inst->room().reserveUsers(perShard, slotsPerCell);
-  }
   const std::size_t latticeSide = static_cast<std::size_t>(
       std::ceil(std::sqrt(static_cast<double>(perShard == 0 ? 1 : perShard))));
-  std::vector<std::size_t> placedOnShard(shardCount, 0);
-  const bool uncapped =
-      cfg_.capacity.softUserCap <= 0 && cfg_.dataSpec.maxEventUsers <= 0;
+  shards_.resize(shardCount);
   assigned_.assign(shardCount, 0);
   accepting_.assign(shardCount, true);
-  for (int u = 0; u < cfg_.users; ++u) {
-    std::uint32_t best = shardCount;
-    if (uncapped) {
-      best = static_cast<std::uint32_t>(u) % shardCount;
-    } else {
-      // The gateway's LeastLoaded policy: accepting shard with the fewest
-      // assignments, lowest id on ties.
-      for (std::uint32_t s = 0; s < shardCount; ++s) {
-        if (!shards_[s].inst->acceptingUsers()) continue;
-        if (best == shardCount || assigned_[s] < assigned_[best]) best = s;
+  engine_.forEachPartition([&](pdes::Partition& part) {
+    if (part.id() == 0) return;  // control owns no room
+    const std::uint32_t s = part.id() - 1;
+    Shard& shard = shards_[s];
+    shard.inst = std::make_unique<RelayInstance>(part.sim(), s, regionOf(s),
+                                                 cfg_.dataSpec, cfg_.capacity);
+    shard.inst->activate();
+    shard.inst->setDeliverySink(
+        [this, s](std::uint32_t, std::uint64_t, const Message&) {
+          ++shards_[s].delivered;
+        });
+    RelayRoom& room = shard.inst->room();
+    room.reserveUsers(perShard, slotsPerCell);
+    std::size_t k = 0;
+    for (std::size_t u = s; u < placed; u += shardCount, ++k) {
+      const auto id = static_cast<std::uint64_t>(u) + 1;
+      if (!room.joinDetached(id)) {
+        throw std::logic_error(
+            "PartitionedCluster: placement overfilled shard " +
+            std::to_string(s));
       }
-      if (best == shardCount) break;  // everything full
+      if (cfg_.latticeSpacingM > 0.0) {
+        // Deterministic per-shard lattice: the k-th member takes cell k, so
+        // interest-grid neighborhoods are identical for every seed, thread
+        // count, and shard count.
+        room.updatePose(
+            id, Pose{cfg_.latticeSpacingM * static_cast<double>(k % latticeSide),
+                     cfg_.latticeSpacingM * static_cast<double>(k / latticeSide),
+                     0.0});
+      }
     }
-    const auto id = static_cast<std::uint64_t>(u) + 1;
-    if (!shards_[best].inst->room().joinDetached(id)) continue;
-    ++assigned_[best];
-    if (cfg_.latticeSpacingM > 0.0) {
-      // Deterministic per-shard lattice: pure function of the join order,
-      // so interest-grid neighborhoods are identical for every seed,
-      // thread count, and shard count.
-      const std::size_t k = placedOnShard[best]++;
-      shards_[best].inst->room().updatePose(
-          id, Pose{cfg_.latticeSpacingM * static_cast<double>(k % latticeSide),
-                   cfg_.latticeSpacingM * static_cast<double>(k / latticeSide),
-                   0.0});
-    }
-  }
+    assigned_[s] = static_cast<std::uint32_t>(k);
+  });
 
   shardDrainNs_.resize(shardCount);
   shardDrainCursor_.assign(shardCount, 0);

@@ -157,6 +157,11 @@ class PartitionedCluster {
 
   [[nodiscard]] pdes::Engine& engine() { return engine_; }
 
+  /// Shard s's room, read-only: who was placed there and where they stand.
+  [[nodiscard]] const RelayRoom& shardRoom(std::uint32_t s) const {
+    return *shards_[s].inst->roomPtr();
+  }
+
  private:
   struct Shard {
     std::unique_ptr<RelayInstance> inst;

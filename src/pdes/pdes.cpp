@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <limits>
 #include <cstdio>
+#include <exception>
+#include <functional>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -101,17 +103,31 @@ void Partition::promiseNoSendBefore(std::uint32_t dst, TimePoint earliest) {
 
 // ------------------------------------------------------------------- Engine
 
-// The round pool. Workers park on a condition variable between windows;
-// each window they drain a shared atomic partition index, so load-balancing
-// is dynamic (which worker runs which partition is scheduler-dependent)
-// while results are not (each partition's window is fixed before the
-// barrier opens). The mutex/condvar pair is the barrier on both edges, so
-// every write a partition made in round k happens-before any read of it in
-// round k+1 — TSan-clean by construction.
-struct Engine::Pool {
-  explicit Pool(Engine& engine, unsigned workers) : engine_{engine} {
-    threads_.reserve(workers - 1);
-    for (unsigned t = 1; t < workers; ++t) {
+namespace {
+
+// The worker pool behind run()'s rounds and forEachPartition(). It sizes
+// itself the one way both callers need: a pinned thread count, or a lease
+// on the process ThreadBudget, never more workers than partitions. Workers
+// park on a condition variable between jobs; each job they drain a shared
+// atomic partition index, so load-balancing is dynamic (which worker runs
+// which partition is scheduler-dependent) while results are not (every
+// partition's job is fixed before the pool is released). The mutex/condvar
+// pair is the barrier on both edges, and the index hand-out is an
+// acquire/release chain headed by the job's release store, so every write
+// made before a job happens-before any worker's read of it and every job's
+// writes happen-before forEach() returns — TSan-clean by construction.
+class Pool {
+ public:
+  using Job = std::function<void(std::uint32_t)>;
+
+  Pool(unsigned pinned, std::uint32_t partitions)
+      : lease_{ThreadBudget::process(), pinned > 0 ? 0 : partitions - 1},
+        count_{partitions},
+        workers_{std::clamp(pinned > 0 ? pinned : lease_.workers(), 1u,
+                            partitions)},
+        errors_(partitions) {
+    threads_.reserve(workers_ - 1);
+    for (unsigned t = 1; t < workers_; ++t) {
       threads_.emplace_back([this] { workerLoop(); });
     }
   }
@@ -125,31 +141,53 @@ struct Engine::Pool {
     for (auto& t : threads_) t.join();
   }
 
-  /// Runs one window: partitions_[i]->sim().run(bound) for every i, across
-  /// the pool plus the calling thread. Returns when all are done.
-  void round(std::uint32_t partitions) {
+  Pool(const Pool&) = delete;
+  Pool& operator=(const Pool&) = delete;
+
+  [[nodiscard]] unsigned workers() const { return workers_; }
+
+  /// Runs job(i) for every partition index i, across the pool plus the
+  /// calling thread, and returns once all are done: the exception the job
+  /// threw for the lowest index, or null when none threw.
+  std::exception_ptr forEach(const Job& job) {
     {
       const std::lock_guard<std::mutex> lock{mu_};
-      next_.store(0, std::memory_order_relaxed);
-      pending_ = partitions;
-      ++round_;
+      job_ = &job;
+      pending_ = count_;
+      ++generation_;
+      next_.store(0, std::memory_order_release);
     }
     cv_.notify_all();
     drain();
-    std::unique_lock<std::mutex> lock{mu_};
-    doneCv_.wait(lock, [this] { return pending_ == 0; });
+    {
+      std::unique_lock<std::mutex> lock{mu_};
+      doneCv_.wait(lock, [this] { return pending_ == 0; });
+    }
+    std::exception_ptr first;
+    for (std::exception_ptr& e : errors_) {
+      if (e && !first) first = e;
+      e = nullptr;
+    }
+    return first;
   }
 
  private:
   void drain() {
-    const std::uint32_t count = engine_.partitionCount();
+    std::uint32_t done = 0;
     for (;;) {
-      const std::uint32_t i = next_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      engine_.runOne(i);
-      const std::lock_guard<std::mutex> lock{mu_};
-      if (--pending_ == 0) doneCv_.notify_one();
+      const std::uint32_t i = next_.fetch_add(1, std::memory_order_acquire);
+      if (i >= count_) break;
+      try {
+        (*job_)(i);
+      } catch (...) {
+        errors_[i] = std::current_exception();
+      }
+      ++done;
     }
+    if (done == 0) return;
+    const std::lock_guard<std::mutex> lock{mu_};
+    pending_ -= done;
+    if (pending_ == 0) doneCv_.notify_one();
   }
 
   void workerLoop() {
@@ -157,24 +195,30 @@ struct Engine::Pool {
     for (;;) {
       {
         std::unique_lock<std::mutex> lock{mu_};
-        cv_.wait(lock, [&] { return stop_ || round_ != seen; });
+        cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
         if (stop_) return;
-        seen = round_;
+        seen = generation_;
       }
       drain();
     }
   }
 
-  Engine& engine_;
+  ThreadBudget::Lease lease_;
+  std::uint32_t count_;
+  unsigned workers_;
+  std::vector<std::exception_ptr> errors_;  // per partition, current job
   std::vector<std::thread> threads_;
   std::mutex mu_;
   std::condition_variable cv_;
   std::condition_variable doneCv_;
-  std::uint64_t round_{0};
+  const Job* job_{nullptr};
+  std::uint64_t generation_{0};
   std::uint32_t pending_{0};
   bool stop_{false};
   std::atomic<std::uint32_t> next_{0};
 };
+
+}  // namespace
 
 Engine::Engine(std::uint32_t partitions, std::uint64_t seed, EngineConfig cfg)
     : cfg_{cfg} {
@@ -370,34 +414,16 @@ std::uint64_t Engine::computeBounds(std::int64_t limitNs) {
   return coalesced;
 }
 
-void Engine::runOne(std::uint32_t i) {
-  Partition& p = *partitions_[i];
-  p.executed_ = p.sim().run(TimePoint::fromNanos(boundNs_[i]));
-}
-
-void Engine::runRound(unsigned workers) {
-  const std::uint32_t count = partitionCount();
-  if (workers > 1 && count > 1) {
-    if (!pool_) pool_ = std::make_unique<Pool>(*this, workers);
-    pool_->round(count);
-  } else {
-    for (std::uint32_t i = 0; i < count; ++i) runOne(i);
-  }
-}
-
 RunReport Engine::run(TimePoint limit) {
   const std::int64_t limitNs = limit.toNanos();
-  RunReport report;
-
-  // Worker sourcing: explicit pin, or a lease on the process budget (a
-  // nested engine inside a seed sweep gets what the sweep left over).
   const std::uint32_t count = partitionCount();
-  ThreadBudget::Lease lease{ThreadBudget::process(),
-                            cfg_.threads > 0 ? 0 : count - 1};
-  unsigned workers = cfg_.threads > 0 ? cfg_.threads : lease.workers();
-  if (workers > count) workers = count;
-  if (workers == 0) workers = 1;
-  report.workers = workers;
+  Pool pool{cfg_.threads, count};
+  const Pool::Job runWindow = [this](std::uint32_t i) {
+    Partition& p = *partitions_[i];
+    p.executed_ = p.sim().run(TimePoint::fromNanos(boundNs_[i]));
+  };
+  RunReport report;
+  report.workers = pool.workers();
 
   idleRounds_.assign(count, 0);
   std::uint64_t stalledRounds = 0;
@@ -415,7 +441,9 @@ RunReport Engine::run(TimePoint limit) {
     }
     if (done) break;
     report.coalescedWindows += coalesced;
-    runRound(workers);
+    if (const std::exception_ptr failure = pool.forEach(runWindow)) {
+      std::rethrow_exception(failure);
+    }
     std::uint64_t executed = 0;
     for (std::uint32_t i = 0; i < count; ++i) {
       const std::size_t ran = partitions_[i]->executed_;
@@ -432,7 +460,6 @@ RunReport Engine::run(TimePoint limit) {
                                "no messages, no progress");
     }
   }
-  pool_.reset();
 
   // Align every clock exactly at the limit (run() with nothing due just
   // advances time), so repeated run() calls and post-run probes see one
@@ -447,6 +474,15 @@ RunReport Engine::run(TimePoint limit) {
     }
   }
   return report;
+}
+
+void Engine::forEachPartition(const std::function<void(Partition&)>& fn) {
+  std::exception_ptr failure;
+  {
+    Pool pool{cfg_.threads, partitionCount()};
+    failure = pool.forEach([&](std::uint32_t i) { fn(*partitions_[i]); });
+  }  // every worker has joined
+  if (failure) std::rethrow_exception(failure);
 }
 
 audit::RunFingerprint Engine::auditFingerprint() const {

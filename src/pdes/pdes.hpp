@@ -68,9 +68,12 @@
 // Worker sourcing: EngineConfig::threads > 0 pins the pool size (bench
 // sweeps use this); threads == 0 leases workers from the process-wide
 // ThreadBudget, so a PDES engine nested inside a seed sweep consumes only
-// what the sweep left over and MSIM_THREADS is honored end to end.
+// what the sweep left over and MSIM_THREADS is honored end to end. The same
+// pool serves run()'s rounds and forEachPartition(), the construction-time
+// fan-out that lets a workload build each partition's state in parallel.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -137,9 +140,9 @@ class Partition {
 };
 
 struct EngineConfig {
-  /// Worker threads for run(). 0 = lease from ThreadBudget::process()
-  /// (honors MSIM_THREADS and composes with seed sweeps); > 0 pins the
-  /// count. Results are bit-identical either way.
+  /// Worker threads for run() and forEachPartition(). 0 = lease from
+  /// ThreadBudget::process() (honors MSIM_THREADS and composes with seed
+  /// sweeps); > 0 pins the count. Results are bit-identical either way.
   unsigned threads{0};
   /// Enable per-partition audit digests (audit/auditor.hpp).
   bool audit{false};
@@ -212,6 +215,14 @@ class Engine {
   /// limits.
   RunReport run(TimePoint limit);
 
+  /// Calls fn(partition) once for every partition, fanned out over the
+  /// worker pool run() uses (same worker choice). For setup work that
+  /// touches only state owned by the partition it is handed, never another
+  /// partition's. Exceptions are collected per partition;
+  /// once every worker has joined, the one thrown for the lowest partition
+  /// index is rethrown.
+  void forEachPartition(const std::function<void(Partition&)>& fn);
+
   /// Per-partition audit digests folded in partition-id order. The trail
   /// holds one entry per partition (its digest), so a divergence report
   /// names the first divergent *partition* rather than a raw event index.
@@ -235,8 +246,6 @@ class Engine {
   void relaxBounds(std::vector<std::int64_t>& eot,
                    std::vector<std::int64_t>& bound, std::int64_t limitNs,
                    bool usePromises);
-  void runRound(unsigned workers);
-  void runOne(std::uint32_t i);
 
   struct Link {
     std::uint32_t src;
@@ -264,8 +273,6 @@ class Engine {
   // order even though the barrier cuts differ, so their digests match
   // byte-for-byte.
   std::vector<std::uint64_t> injectionDigest_;
-  struct Pool;
-  std::unique_ptr<Pool> pool_;  // live only inside run()
 };
 
 }  // namespace msim::pdes

@@ -10,8 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -143,6 +147,60 @@ TEST(PdesEngine, LookaheadBreachThrows) {
   const pdes::RunReport report = engine.run(TimePoint::epoch() +
                                             Duration::millis(20));
   EXPECT_EQ(report.messagesDelivered, 1u);
+}
+
+TEST(PdesEngine, ForEachPartitionVisitsEachOnce) {
+  for (const unsigned workers : {1u, 2u, 8u}) {
+    for (const std::uint32_t count : {1u, 3u, 65u}) {
+      pdes::EngineConfig cfg;
+      cfg.threads = workers;
+      pdes::Engine engine{count, 1, cfg};
+      std::vector<std::atomic<int>> visits(count);
+      engine.forEachPartition([&](pdes::Partition& p) {
+        visits[p.id()].fetch_add(1, std::memory_order_relaxed);
+        // A job owns the partition it is handed, its Simulator included.
+        p.sim().schedule(TimePoint::epoch() + Duration::millis(p.id()),
+                         [] {});
+      });
+      for (std::uint32_t i = 0; i < count; ++i) {
+        EXPECT_EQ(visits[i].load(), 1)
+            << "workers=" << workers << " partitions=" << count << " i=" << i;
+        EXPECT_EQ(engine.partition(i).sim().liveEvents(), 1u);
+      }
+    }
+  }
+
+  // Jobs throwing on partitions 2 and 5: the caller gets partition 2's
+  // exception, and only after every job has run.
+  for (const unsigned workers : {1u, 2u, 8u}) {
+    pdes::EngineConfig cfg;
+    cfg.threads = workers;
+    pdes::Engine engine{9, 1, cfg};
+    std::vector<std::atomic<int>> visits(9);
+    std::atomic<bool> fiveThrown{false};
+    try {
+      engine.forEachPartition([&](pdes::Partition& p) {
+        visits[p.id()].fetch_add(1, std::memory_order_relaxed);
+        if (p.id() == 2 && workers > 1) {
+          // With company in the pool, partition 5 throws first: the
+          // rethrown exception is chosen by index, not by time.
+          while (!fiveThrown.load(std::memory_order_acquire)) {
+          }
+        }
+        if (p.id() == 5) fiveThrown.store(true, std::memory_order_release);
+        if (p.id() == 2 || p.id() == 5) {
+          throw std::runtime_error("partition " + std::to_string(p.id()));
+        }
+      });
+      ADD_FAILURE() << "no exception, workers=" << workers;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "partition 2") << "workers=" << workers;
+    }
+    // Every partition's job ran before the caller saw the exception.
+    for (std::uint32_t i = 0; i < 9; ++i) {
+      EXPECT_EQ(visits[i].load(), 1) << "workers=" << workers << " i=" << i;
+    }
+  }
 }
 
 TEST(PdesEngine, DeliversInCanonicalOrder) {
@@ -512,6 +570,103 @@ TEST(PdesCluster, VerifyThreadInvarianceComposesWithSeedSweep) {
         return run.fingerprint();
       });
   EXPECT_TRUE(report.identical) << report.describe();
+}
+
+// The gateway's LeastLoaded scan as the cluster constructor once ran it:
+// each user goes to the accepting shard with the fewest assignments, lowest
+// id on ties; a full room refuses the join. Returns each shard's members in
+// join order with the lattice cell they took.
+std::vector<std::vector<RelayUserRecord>> leastLoadedOracle(
+    const cluster::PartitionedClusterConfig& cfg) {
+  const auto shards = static_cast<std::size_t>(cfg.shards);
+  const int softCap = cfg.capacity.softUserCap;
+  const int roomCap = cfg.dataSpec.maxEventUsers;
+  const std::size_t perShard =
+      (static_cast<std::size_t>(cfg.users) + shards - 1) / shards;
+  const auto side = static_cast<std::size_t>(
+      std::ceil(std::sqrt(static_cast<double>(perShard == 0 ? 1 : perShard))));
+  std::vector<std::vector<RelayUserRecord>> rooms(shards);
+  std::vector<std::size_t> assigned(shards, 0);
+  for (int u = 0; u < cfg.users; ++u) {
+    std::size_t best = shards;
+    for (std::size_t s = 0; s < shards; ++s) {
+      if (softCap > 0 && static_cast<int>(rooms[s].size()) >= softCap) continue;
+      if (best == shards || assigned[s] < assigned[best]) best = s;
+    }
+    if (best == shards) break;  // every shard full
+    if (roomCap > 0 && static_cast<int>(rooms[best].size()) >= roomCap) {
+      continue;  // the room refuses the join
+    }
+    ++assigned[best];
+    const std::size_t k = rooms[best].size();
+    RelayUserRecord r;
+    r.id = static_cast<std::uint64_t>(u) + 1;
+    r.poseKnown = true;
+    r.pose = Pose{cfg.latticeSpacingM * static_cast<double>(k % side),
+                  cfg.latticeSpacingM * static_cast<double>(k / side), 0.0};
+    rooms[best].push_back(r);
+  }
+  return rooms;
+}
+
+TEST(PdesCluster, CappedPlacementMatchesLeastLoadedScan) {
+  struct Case {
+    int users;
+    int shards;
+    int softUserCap;
+    int maxEventUsers;
+  };
+  const Case cases[] = {
+      {50, 4, 0, 0},    // uncapped
+      {50, 4, 5, 0},    // soft cap cuts users off
+      {50, 4, 0, 7},    // room cap cuts users off
+      {50, 4, 10, 6},   // maxEventUsers < softUserCap
+      {50, 4, 6, 10},   // softUserCap < maxEventUsers
+      {50, 4, 13, 13},  // caps that place exactly everyone
+      {10, 4, 100, 3},  // caps that bind on only some shards' shares
+      {7, 3, 2, 0},     // fewer placements than users and shards
+      {0, 3, 4, 0},     // empty planet
+  };
+  for (const Case& c : cases) {
+    cluster::PartitionedClusterConfig cfg = smallClusterConfig(2024, 1);
+    cfg.users = c.users;
+    cfg.shards = c.shards;
+    cfg.capacity.softUserCap = c.softUserCap;
+    cfg.dataSpec.maxEventUsers = c.maxEventUsers;
+    cfg.dataSpec.interestGrid = true;
+    cfg.latticeSpacingM = 2.0;
+    const std::vector<std::vector<RelayUserRecord>> oracle =
+        leastLoadedOracle(cfg);
+
+    std::uint64_t digest = 0;
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      cfg.threads = threads;
+      cluster::PartitionedCluster run{cfg};
+      const std::string where = "users=" + std::to_string(c.users) +
+                                " soft=" + std::to_string(c.softUserCap) +
+                                " room=" + std::to_string(c.maxEventUsers) +
+                                " threads=" + std::to_string(threads);
+      for (std::uint32_t s = 0; s < oracle.size(); ++s) {
+        std::vector<RelayUserRecord> want = oracle[s];
+        std::sort(want.begin(), want.end(),
+                  [](const auto& a, const auto& b) { return a.id < b.id; });
+        const RelayRoomSnapshot got = run.shardRoom(s).exportSnapshot();
+        ASSERT_EQ(got.users.size(), want.size()) << where << " shard=" << s;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got.users[i].id, want[i].id) << where << " shard=" << s;
+          EXPECT_TRUE(got.users[i].poseKnown) << where << " shard=" << s;
+          EXPECT_EQ(got.users[i].pose.x, want[i].pose.x) << where;
+          EXPECT_EQ(got.users[i].pose.y, want[i].pose.y) << where;
+          EXPECT_EQ(got.users[i].pose.yawDeg, want[i].pose.yawDeg) << where;
+        }
+      }
+      (void)run.run(Duration::millis(200), Duration::millis(500));
+      const std::uint64_t d = run.digest();
+      ASSERT_NE(d, 0u) << where;
+      if (threads == 1) digest = d;
+      EXPECT_EQ(d, digest) << where;
+    }
+  }
 }
 
 TEST(PdesCluster, DirectLinkMigrationTakesTwoHops) {
