@@ -1,5 +1,8 @@
 #include "cluster/sessions.hpp"
 
+#include <stdexcept>
+
+#include "audit/digest.hpp"
 #include "geo/geo.hpp"
 
 namespace msim::cluster {
@@ -77,6 +80,20 @@ void pumpChannel(Simulator& sim, session::SessionHub& hub,
 
 ChurnWorkloadResult runChurnWorkload(std::uint64_t seed,
                                      const ChurnWorkloadConfig& cfg) {
+  // Fail before building anything: sessions are dealt `i % channels`, and a
+  // publisher with no period would re-arm at the same instant forever.
+  if (cfg.sessions < 0) {
+    throw std::invalid_argument("runChurnWorkload: sessions must be >= 0");
+  }
+  if (cfg.shards <= 0) {
+    throw std::invalid_argument("runChurnWorkload: shards must be > 0");
+  }
+  if (cfg.channels <= 0) {
+    throw std::invalid_argument("runChurnWorkload: channels must be > 0");
+  }
+  if (cfg.publishEvery <= Duration::zero()) {
+    throw std::invalid_argument("runChurnWorkload: publishEvery must be > 0");
+  }
   Simulator sim{seed};
   sim.enableAudit(/*recordTrail=*/true);
 
@@ -91,6 +108,12 @@ ChurnWorkloadResult runChurnWorkload(std::uint64_t seed,
   DataSpec dataSpec;  // plain relay rooms; the session tier is under test
   SessionCluster sc{sim, dataSpec, scc};
   sc.reserveSessions(static_cast<std::size_t>(cfg.sessions));
+  // Word-wise FNV over each accepted message: a multiply per field keeps
+  // the fold cheap next to the delivery it records.
+  std::uint64_t trace = audit::Digest::kOffsetBasis;
+  const auto fold = [&trace](std::uint64_t v) {
+    trace = (trace ^ v) * audit::Digest::kPrime;
+  };
 
   // Sessions: subscribe first (queued until accept), connect at RNG-uniform
   // offsets inside the window (a flash crowd when the window is zero).
@@ -98,11 +121,17 @@ ChurnWorkloadResult runChurnWorkload(std::uint64_t seed,
     const std::uint64_t userId = 1000 + static_cast<std::uint64_t>(i);
     session::Session& s = sc.addSession(userId, regions::usEast());
     s.subscribe(1 + static_cast<std::uint64_t>(i % cfg.channels));
-    s.setOnMessage([&sim](session::Session& self, std::uint64_t channel,
-                          std::uint64_t seq, std::uint64_t payload,
-                          bool replayed) {
+    s.setOnMessage([&sim, &fold](session::Session& self,
+                                 std::uint64_t channel, std::uint64_t seq,
+                                 std::uint64_t payload, bool replayed) {
       sim.auditNote(self.userId() ^ (channel << 20) ^ (seq << 28) ^ payload ^
                     (replayed ? 0x8000000000000000ULL : 0));
+      fold(static_cast<std::uint64_t>(sim.now().toNanos()));
+      fold(self.userId());
+      fold(channel);
+      fold(seq);
+      fold(payload);
+      fold(replayed ? 1 : 0);
     });
     const Duration at =
         cfg.connectWindow.isZero()
@@ -186,6 +215,7 @@ ChurnWorkloadResult runChurnWorkload(std::uint64_t seed,
   r.reconnectsSticky = cs.reconnectsSticky;
   r.reconnectsReplaced = cs.reconnectsReplaced;
   r.fingerprint = sim.auditFingerprint();
+  r.deliveryTrace = trace;
   return r;
 }
 

@@ -129,10 +129,17 @@ struct ChurnWorkloadResult {
   /// arrival waited behind — the gateway queue inflation number the
   /// jittered-vs-synchronized comparison records.
   double peakQueueInflation{0.0};
+  /// Digest over (now, userId, channel, seq, payload, replayed) of every
+  /// accepted channel message, in acceptance order. Unlike the fingerprint
+  /// it ignores how deliveries are grouped into events, so it pins what
+  /// clients saw across changes to the fan-out's event structure.
+  std::uint64_t deliveryTrace{0};
 };
 
 /// Runs one seeded churn scenario to completion on a private audited
 /// Simulator. Deterministic: bit-identical for any MSIM_THREADS when swept.
+/// Throws std::invalid_argument on negative sessions, or on non-positive
+/// shards, channels or publishEvery.
 [[nodiscard]] ChurnWorkloadResult runChurnWorkload(
     std::uint64_t seed, const ChurnWorkloadConfig& cfg);
 

@@ -262,21 +262,10 @@ Duration RelayRoom::sampleProcessingDelay() {
   return Duration::millis(ms);
 }
 
-RelayRoom::Batch RelayRoom::acquireBatch() {
-  if (batchPool_.empty()) return Batch{};
-  Batch b = std::move(batchPool_.back());
-  batchPool_.pop_back();
-  b.clear();
-  return b;
-}
-
-void RelayRoom::releaseBatch(Batch&& batch) {
-  batchPool_.push_back(std::move(batch));
-}
-
 void RelayRoom::scheduleBatch(TimePoint at, Batch batch,
                               std::shared_ptr<const Message> msg,
                               TimePoint inTime) {
+  batches_.scheduled(batch);
   sim_.schedule(at, [this, batch = std::move(batch), msg = std::move(msg),
                      inTime]() mutable {
     for (const BatchEntry& e : batch) {
@@ -289,7 +278,7 @@ void RelayRoom::scheduleBatch(TimePoint at, Batch batch,
         hooks_.onLocalDeliver(e.id, *msg);
       }
     }
-    releaseBatch(std::move(batch));
+    batches_.release(std::move(batch));
   });
 }
 
@@ -332,8 +321,8 @@ MSIM_HOT void RelayRoom::broadcast(std::uint64_t fromUser,
   if (isPose) ++poseSeq_[s];
   const std::uint32_t seq = poseSeq_[s];
 
-  Batch same = acquireBatch();
-  Batch cross = acquireBatch();
+  Batch same = batches_.acquire();
+  Batch cross = batches_.acquire();
   RelayServer* const senderHome = homes_[s];
   // Single-shard rooms (every member on one replica — the common case, and
   // every detached room) route all traffic to the same-home instant, so the
@@ -475,12 +464,12 @@ MSIM_HOT void RelayRoom::broadcast(std::uint64_t fromUser,
   if (!same.empty()) {
     scheduleBatch(outSame, std::move(same), msg, inTime);
   } else {
-    releaseBatch(std::move(same));
+    batches_.release(std::move(same));
   }
   if (!cross.empty()) {
     scheduleBatch(outCross, std::move(cross), std::move(msg), inTime);
   } else {
-    releaseBatch(std::move(cross));
+    batches_.release(std::move(cross));
   }
 }
 

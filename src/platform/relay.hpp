@@ -34,6 +34,7 @@
 #include "platform/spec.hpp"
 #include "transport/tls.hpp"
 #include "transport/udp.hpp"
+#include "util/batchpool.hpp"
 #include "util/flatmap.hpp"
 
 namespace msim {
@@ -232,8 +233,6 @@ class RelayRoom {
   void unplacedInsert(std::uint32_t slot);
   void unplacedErase(std::uint32_t slot);
 
-  [[nodiscard]] Batch acquireBatch();
-  void releaseBatch(Batch&& batch);
   /// Schedules one delivery event walking `batch` at time `at`.
   void scheduleBatch(TimePoint at, Batch batch,
                      std::shared_ptr<const Message> msg, TimePoint inTime);
@@ -297,8 +296,8 @@ class RelayRoom {
   std::vector<std::uint64_t> evictScratch_;
   // Batched fan-out scratch: same-instant receivers of one broadcast share
   // a single queue event walking a BatchEntry range; the entry buffers
-  // recycle through batchPool_ (see DESIGN.md §7).
-  std::vector<Batch> batchPool_;
+  // recycle through this pool (see DESIGN.md §7).
+  BatchPool<BatchEntry> batches_;
 };
 
 /// One relay replica bound to a node, speaking UDP or a TLS stream.

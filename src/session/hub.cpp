@@ -177,13 +177,15 @@ void SessionHub::clientSubscribe(std::uint32_t id, std::uint64_t epoch,
     });
     return;
   }
-  // Recovery: replay the missed suffix (scheduled before the resume ack, so
-  // FIFO-at-equal-time delivery hands the client the messages first).
+  // Recovery: replay the missed suffix as one batch, scheduled before the
+  // resume ack so FIFO-at-equal-time delivery hands the client the messages
+  // first.
   const ChannelBroker::ResumeResult res = broker_.resume(
       channel, id, lastSeq, [&](std::uint32_t sid, const ChannelMessage& m) {
-        deliver(sid, epoch, channel, m.seq, m.payload, /*replayed=*/true);
+        enqueue(*r.s, Delivery{sid, epoch, m.seq, m.payload});
         ++stats_.replayed;
       });
+  flushBatches(channel, /*replayed=*/true);
   if (!res.recovered) ++stats_.fullRejoins;
   const bool recovered = res.recovered;
   const std::uint64_t head = res.headSeq;
@@ -214,36 +216,59 @@ void SessionHub::closeSession(std::uint32_t id) {
 
 // ---- server operations ----------------------------------------------------
 
-// detlint:hotpath per-message downlink to a connected session — the inner
-// loop of BM_SessionChurnSteady's steady-delivery gate (--max-alloc).
-MSIM_HOT void SessionHub::deliver(std::uint32_t sid, std::uint64_t epoch,
-                                  std::uint64_t channel, std::uint64_t seq,
-                                  std::uint64_t payload, bool replayed) {
-  Session* s = recs_[sid].s;
-  if (s == nullptr) return;
-  sim_.scheduleAfter(downlinkDelay(*s),
-                     [this, sid, epoch, channel, seq, payload, replayed] {
-                       if (Session* s = sessionAt(sid)) {
-                         s->onMessage(epoch, channel, seq, payload, replayed);
-                       }
-                     });
-}
-
-// detlint:hotpath channel publish fans straight into history append +
-// per-subscriber deliver; steady-state publishes ride the ring and the
-// recycled queue, never the allocator.
+// detlint:hotpath channel publish fans into history append plus one batch
+// per downlink delay; steady-state publishes ride the ring, the recycled
+// batches and the event pool, never the allocator (BM_SessionChurnSteady's
+// --max-alloc gate).
 MSIM_HOT std::uint64_t SessionHub::publish(std::uint64_t channel,
                                            std::uint64_t payload,
                                            std::uint32_t bytes) {
   ++stats_.published;
-  return broker_.publish(
+  const std::uint64_t seq = broker_.publish(
       channel, payload, bytes,
       [&](std::uint32_t sid, const ChannelMessage& m) {
         const Rec& r = recs_[sid];
         if (r.s == nullptr || !r.connected) return;  // caught up by resume
         ++stats_.delivered;
-        deliver(sid, r.epoch, channel, m.seq, m.payload, /*replayed=*/false);
+        enqueue(*r.s, Delivery{sid, r.epoch, m.seq, m.payload});
       });
+  flushBatches(channel, /*replayed=*/false);
+  return seq;
+}
+
+void SessionHub::enqueue(const Session& s, const Delivery& d) {
+  const Duration delay = downlinkDelay(s);
+  OpenBatch* open = nullptr;
+  for (OpenBatch& o : open_) {
+    if (o.delay == delay) open = &o;
+  }
+  if (open == nullptr) {
+    open_.push_back(OpenBatch{delay, batches_.acquire()});
+    open = &open_.back();
+  }
+  // detlint:allow(hotpath-alloc) batches are pool-recycled and keep their
+  // capacity, so the push amortizes to zero once the pool has seen a
+  // channel's subscriber count (open_ itself is cleared, never shrunk).
+  open->batch.push_back(d);
+}
+
+void SessionHub::flushBatches(std::uint64_t channel, bool replayed) {
+  // Batches of one fan-out take consecutive sequence stamps, so at any
+  // instant they dispatch exactly where their per-message events would
+  // have, and each walks its subscribers in the order they were enqueued.
+  for (OpenBatch& o : open_) {
+    batches_.scheduled(o.batch);
+    sim_.scheduleAfter(o.delay, [this, batch = std::move(o.batch), channel,
+                                 replayed]() mutable {
+      for (const Delivery& d : batch) {
+        if (Session* s = sessionAt(d.sid)) {
+          s->onMessage(d.epoch, channel, d.seq, d.payload, replayed);
+        }
+      }
+      batches_.release(std::move(batch));
+    });
+  }
+  open_.clear();
 }
 
 std::size_t SessionHub::markShardDead(std::int32_t shard) {

@@ -21,6 +21,7 @@
 
 #include "session/history.hpp"
 #include "session/session.hpp"
+#include "util/batchpool.hpp"
 
 namespace msim::session {
 
@@ -111,7 +112,8 @@ class SessionHub {
   // ---- server operations --------------------------------------------------
   /// Publishes to a channel: stamps a sequence, retains history, and
   /// schedules delivery to every connected subscriber after the downlink
-  /// hop. Returns the assigned sequence.
+  /// hop — one event per distinct downlink delay, walking its subscribers
+  /// in id order. Returns the assigned sequence.
   std::uint64_t publish(std::uint64_t channel, std::uint64_t payload,
                         std::uint32_t bytes);
   /// Severs every binding to `shard` without telling the clients (they find
@@ -147,13 +149,29 @@ class SessionHub {
     bool reconnect{false};
     TimePoint enqueuedAt;
   };
+  /// One channel message bound for one session, stamped with the epoch of
+  /// the binding it was sent under.
+  struct Delivery {
+    std::uint32_t sid{0};
+    std::uint64_t epoch{0};
+    std::uint64_t seq{0};
+    std::uint64_t payload{0};
+  };
+  using Batch = BatchPool<Delivery>::Batch;
+  /// A batch being filled for one downlink delay.
+  struct OpenBatch {
+    Duration delay;
+    Batch batch;
+  };
 
   void processNextConnect();
   void acceptOrReject(const PendingConnect& p);
   void armExpiry(std::uint32_t id);
   void sever(Rec& r, bool notifyClient);
-  void deliver(std::uint32_t sid, std::uint64_t epoch, std::uint64_t channel,
-               std::uint64_t seq, std::uint64_t payload, bool replayed);
+  /// Adds a delivery to the open batch for `s`'s downlink delay.
+  void enqueue(const Session& s, const Delivery& d);
+  /// Schedules one event per open batch, then closes them all.
+  void flushBatches(std::uint64_t channel, bool replayed);
 
   Simulator& sim_;
   TokenAuthority authority_;
@@ -173,6 +191,11 @@ class SessionHub {
   SessionHook onDown_;
   SessionHook onClosed_;
   HubStats stats_;
+  // Batched downlink (DESIGN.md §13): a publish or a replay fills one batch
+  // per distinct downlink delay, in subscriber order, and each batch is one
+  // queue event. The entry buffers recycle through the pool.
+  std::vector<OpenBatch> open_;
+  BatchPool<Delivery> batches_;
 };
 
 }  // namespace msim::session

@@ -1,6 +1,8 @@
 #include "session/session.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "session/hub.hpp"
 
@@ -17,11 +19,33 @@ const char* toString(ConnectionState s) {
   return "?";
 }
 
+namespace {
+
+/// Rejects configs the state machine cannot run: a zero ping cadence
+/// re-arms at the same instant forever, a zero deadline fails every ping,
+/// and an inverted backoff window or a shrinking factor breaks the clamp
+/// contract (the Centrifugo client's bounds, SNIPPETS.md).
+const SessionConfig& validated(const SessionConfig& cfg) {
+  const auto reject = [](const char* what) {
+    throw std::invalid_argument(std::string{"SessionConfig: "} + what);
+  };
+  if (cfg.pingInterval <= Duration::zero()) reject("pingInterval must be > 0");
+  if (cfg.maxPingDelay <= Duration::zero()) reject("maxPingDelay must be > 0");
+  if (cfg.oneWayDelay < Duration::zero()) reject("oneWayDelay must be >= 0");
+  if (cfg.minReconnectDelay > cfg.maxReconnectDelay) {
+    reject("minReconnectDelay must not exceed maxReconnectDelay");
+  }
+  if (!(cfg.backoffFactor >= 1.0)) reject("backoffFactor must be >= 1");
+  return cfg;
+}
+
+}  // namespace
+
 Session::Session(SessionHub& hub, SessionConfig cfg, std::uint64_t userId,
                  Region region)
     : hub_{hub},
       sim_{hub.sim()},
-      cfg_{cfg},
+      cfg_{validated(cfg)},
       userId_{userId},
       region_{std::move(region)} {
   id_ = hub_.registerSession(this);

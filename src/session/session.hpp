@@ -150,6 +150,9 @@ struct SessionStats {
 /// vector by value.
 class Session {
  public:
+  /// Throws std::invalid_argument, before registering with the hub, on a
+  /// non-positive pingInterval or maxPingDelay, a negative oneWayDelay,
+  /// minReconnectDelay > maxReconnectDelay, or backoffFactor < 1.
   Session(SessionHub& hub, SessionConfig cfg, std::uint64_t userId,
           Region region);
   ~Session();

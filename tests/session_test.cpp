@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "audit/sweep.hpp"
@@ -260,6 +261,46 @@ TEST(SessionBackoffTest, JitterComesFromTheSimRngDeterministically) {
   EXPECT_NE(draws(11), draws(12));  // a different seed moves it
 }
 
+// ------------------------------------------------------ config validation
+
+/// Constructing a session from `cfg` must throw and leave the hub empty.
+void expectRejected(const SessionConfig& cfg) {
+  BareHub b{1};
+  EXPECT_THROW(Session(b.hub, cfg, 42, regions::usEast()),
+               std::invalid_argument);
+  EXPECT_EQ(b.hub.sessionAt(0), nullptr);
+}
+
+TEST(SessionConfigTest, RejectsNonPositivePingInterval) {
+  SessionConfig cfg = fastSession();
+  cfg.pingInterval = Duration::zero();
+  expectRejected(cfg);
+}
+
+TEST(SessionConfigTest, RejectsNonPositiveMaxPingDelay) {
+  SessionConfig cfg = fastSession();
+  cfg.maxPingDelay = Duration::zero();
+  expectRejected(cfg);
+}
+
+TEST(SessionConfigTest, RejectsNegativeOneWayDelay) {
+  SessionConfig cfg = fastSession();
+  cfg.oneWayDelay = Duration::millis(-1);
+  expectRejected(cfg);
+}
+
+TEST(SessionConfigTest, RejectsInvertedReconnectWindow) {
+  SessionConfig cfg = fastSession();
+  cfg.minReconnectDelay = cfg.maxReconnectDelay + Duration::millis(1);
+  expectRejected(cfg);
+}
+
+TEST(SessionConfigTest, RejectsShrinkingBackoffFactor) {
+  SessionConfig cfg = fastSession();
+  cfg.backoffFactor = 0.5;
+  expectRejected(cfg);
+}
+
 // ------------------------------------------------------- channel recovery
 
 TEST(SessionRecoveryTest, ReplayDeliversMissedMessagesExactlyOnceInOrder) {
@@ -317,6 +358,141 @@ TEST(SessionRecoveryTest, OutrunningTheHistoryWindowFallsBackToFullRejoin) {
   b.sim.runFor(Duration::seconds(1));
   EXPECT_EQ(s.lastSeq(7), b.hub.broker().headSeq(7));
   EXPECT_EQ(s.stats().gaps, 0u);  // full rejoin is not a sequence gap
+}
+
+// ------------------------------------------------------ batched downlink
+
+/// One accepted message as a client saw it.
+struct Seen {
+  std::uint64_t user;
+  TimePoint at;
+  std::uint64_t seq;
+  bool replayed;
+};
+
+void recordInto(Session& s, const Simulator& sim, std::vector<Seen>& log) {
+  s.setOnMessage([&sim, &log](Session& self, std::uint64_t, std::uint64_t seq,
+                              std::uint64_t, bool replayed) {
+    log.push_back(Seen{self.userId(), sim.now(), seq, replayed});
+  });
+}
+
+TEST(SessionBatchTest, EachDownlinkDelayIsOneEventWalkedInSidOrder) {
+  BareHub b{11};
+  SessionConfig nearCfg = fastSession();
+  nearCfg.oneWayDelay = Duration::millis(20);
+  SessionConfig farCfg = fastSession();
+  farCfg.oneWayDelay = Duration::millis(50);
+  // Sids 0..3 alternate near and far, so each delay's batch interleaves
+  // with the other's in subscriber order.
+  std::vector<std::unique_ptr<Session>> owned;
+  std::vector<Seen> log;
+  for (int i = 0; i < 4; ++i) {
+    owned.push_back(std::make_unique<Session>(
+        b.hub, i % 2 == 0 ? nearCfg : farCfg, 100 + i, regions::usEast()));
+    recordInto(*owned.back(), b.sim, log);
+    owned.back()->subscribe(7);
+    owned.back()->connect();
+  }
+  b.sim.runFor(Duration::millis(900));
+  ASSERT_EQ(b.hub.connectedCount(), 4u);
+
+  const TimePoint t0 = b.sim.now();
+  const std::size_t before = b.sim.liveEvents();
+  b.hub.publish(7, 42, 64);
+  EXPECT_EQ(b.sim.liveEvents(), before + 2);  // one event per delay
+  b.sim.runFor(Duration::millis(100));
+
+  ASSERT_EQ(log.size(), 4u);
+  EXPECT_EQ(log[0].user, 100u);
+  EXPECT_EQ(log[1].user, 102u);
+  EXPECT_EQ(log[2].user, 101u);
+  EXPECT_EQ(log[3].user, 103u);
+  EXPECT_EQ(log[0].at, t0 + Duration::millis(20));
+  EXPECT_EQ(log[1].at, t0 + Duration::millis(20));
+  EXPECT_EQ(log[2].at, t0 + Duration::millis(50));
+  EXPECT_EQ(log[3].at, t0 + Duration::millis(50));
+}
+
+TEST(SessionBatchTest, ReconnectBeforeDeliveryDropsTheStaleEntry) {
+  BareHub b{12};
+  Session a{b.hub, fastSession(), 1, regions::usEast()};
+  Session c{b.hub, fastSession(), 2, regions::usEast()};
+  std::vector<Seen> log;
+  recordInto(a, b.sim, log);
+  for (Session* s : {&a, &c}) {
+    s->subscribe(7);
+    s->connect();
+  }
+  b.sim.runFor(Duration::millis(900));
+  b.hub.publish(7, 1, 64);
+  b.sim.runFor(Duration::millis(5));
+  // A new epoch before the batch lands: a's entry in it is stale.
+  a.disconnect();
+  a.connect();
+  b.sim.runFor(Duration::seconds(2));
+
+  ASSERT_EQ(a.state(), ConnectionState::Connected);
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_TRUE(log[0].replayed);  // the live copy was dropped, replay won
+  EXPECT_EQ(a.stats().received, 1u);
+  EXPECT_EQ(a.stats().duplicates, 0u);
+  EXPECT_EQ(a.stats().gaps, 0u);
+  EXPECT_EQ(c.stats().received, 1u);
+  EXPECT_EQ(b.hub.stats().delivered, 2u);  // both were in the live batch
+}
+
+/// a misses three messages while disconnected, then resumes; a live publish
+/// races its replay batch. With `reconnectMidReplay` a also starts a new
+/// epoch before that batch lands, which makes the replay and a's live entry
+/// stale, so the second resume must replay all four.
+void replayRacesLivePublish(bool reconnectMidReplay) {
+  BareHub b{13};
+  Session a{b.hub, fastSession(), 1, regions::usEast()};
+  Session c{b.hub, fastSession(), 2, regions::usEast()};
+  std::vector<Seen> log;
+  recordInto(a, b.sim, log);
+  for (Session* s : {&a, &c}) {
+    s->subscribe(7);
+    s->connect();
+  }
+  b.sim.runFor(Duration::millis(900));
+  for (int i = 0; i < 3; ++i) b.hub.publish(7, i, 64);
+  b.sim.runFor(Duration::millis(100));
+  a.disconnect();
+  b.sim.runFor(Duration::millis(100));
+  for (int i = 3; i < 6; ++i) b.hub.publish(7, i, 64);  // a misses these
+  a.connect();
+  while (b.hub.stats().replayed < 3) b.sim.runFor(Duration::millis(1));
+  b.hub.publish(7, 6, 64);  // live, behind the replay batch in flight
+  if (reconnectMidReplay) {
+    a.disconnect();
+    a.connect();
+  }
+  b.sim.runFor(Duration::seconds(2));
+
+  ASSERT_EQ(a.state(), ConnectionState::Connected);
+  ASSERT_EQ(log.size(), 7u);
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].seq, i + 1);
+    // Seqs 4..6 always come by replay; 7 does too once its live copy is
+    // stale.
+    EXPECT_EQ(log[i].replayed, i >= 3 && (reconnectMidReplay || i < 6));
+  }
+  EXPECT_EQ(a.stats().recovered, reconnectMidReplay ? 4u : 3u);
+  EXPECT_EQ(a.stats().duplicates, 0u);
+  EXPECT_EQ(a.stats().gaps, 0u);
+  EXPECT_EQ(c.stats().received, 7u);
+  EXPECT_EQ(c.stats().duplicates + c.stats().gaps, 0u);
+  EXPECT_EQ(b.hub.stats().replayed, reconnectMidReplay ? 7u : 3u);
+}
+
+TEST(SessionBatchTest, ReplayRacingALivePublishStaysInOrder) {
+  replayRacesLivePublish(/*reconnectMidReplay=*/false);
+}
+
+TEST(SessionBatchTest, ReconnectDuringReplayDropsTheStaleReplay) {
+  replayRacesLivePublish(/*reconnectMidReplay=*/true);
 }
 
 }  // namespace
@@ -404,9 +580,35 @@ ChurnWorkloadConfig fastChurn() {
   return cfg;
 }
 
-TEST(SessionChurnTest, ReconnectStormAfterCrashLosesNothing) {
+/// The three disruption scenarios the acceptance tests below run.
+ChurnWorkloadConfig crashChurn() {
   ChurnWorkloadConfig cfg = fastChurn();
   cfg.crashAt = Duration::seconds(10);
+  return cfg;
+}
+
+ChurnWorkloadConfig expiryChurn() {
+  ChurnWorkloadConfig cfg = fastChurn();
+  cfg.tokenTtl = Duration::seconds(6);
+  cfg.session.tokenRefreshLead = Duration::zero();  // ride into the wave
+  return cfg;
+}
+
+ChurnWorkloadConfig herdChurn(bool jittered) {
+  ChurnWorkloadConfig cfg = fastChurn();
+  cfg.sessions = 150;
+  cfg.connectWindow = Duration::seconds(2);
+  cfg.connectCost = Duration::millis(2);
+  cfg.herdAt = Duration::seconds(10);
+  cfg.session.minReconnectDelay = Duration::millis(200);
+  cfg.session.maxReconnectDelay = Duration::seconds(5);
+  cfg.session.backoffFactor = 8.0;
+  cfg.session.jitteredBackoff = jittered;
+  return cfg;
+}
+
+TEST(SessionChurnTest, ReconnectStormAfterCrashLosesNothing) {
+  const ChurnWorkloadConfig cfg = crashChurn();
   const ChurnWorkloadResult r = runChurnWorkload(17, cfg);
 
   EXPECT_EQ(r.connectedAtEnd, r.sessions);
@@ -441,9 +643,7 @@ TEST(SessionChurnTest, DrainReconnectsLandSticky) {
 }
 
 TEST(SessionChurnTest, TokenExpiryWaveRecoversWithoutLoss) {
-  ChurnWorkloadConfig cfg = fastChurn();
-  cfg.tokenTtl = Duration::seconds(6);
-  cfg.session.tokenRefreshLead = Duration::zero();  // ride into the wave
+  const ChurnWorkloadConfig cfg = expiryChurn();
   const ChurnWorkloadResult r = runChurnWorkload(19, cfg);
 
   EXPECT_GE(r.expiries, static_cast<std::uint64_t>(cfg.sessions));
@@ -467,19 +667,8 @@ TEST(SessionChurnTest, RefreshLeadPreventsTheExpiryWave) {
 }
 
 TEST(SessionChurnTest, JitteredBackoffBeatsSynchronizedHerd) {
-  ChurnWorkloadConfig cfg = fastChurn();
-  cfg.sessions = 150;
-  cfg.connectWindow = Duration::seconds(2);
-  cfg.connectCost = Duration::millis(2);
-  cfg.herdAt = Duration::seconds(10);
-  cfg.session.minReconnectDelay = Duration::millis(200);
-  cfg.session.maxReconnectDelay = Duration::seconds(5);
-  cfg.session.backoffFactor = 8.0;
-
-  ChurnWorkloadConfig sync = cfg;
-  sync.session.jitteredBackoff = false;
-  const ChurnWorkloadResult rSync = runChurnWorkload(21, sync);
-  const ChurnWorkloadResult rJit = runChurnWorkload(21, cfg);
+  const ChurnWorkloadResult rSync = runChurnWorkload(21, herdChurn(false));
+  const ChurnWorkloadResult rJit = runChurnWorkload(21, herdChurn(true));
 
   // Both herds recover fully...
   EXPECT_EQ(rSync.connectedAtEnd, rSync.sessions);
@@ -489,6 +678,44 @@ TEST(SessionChurnTest, JitteredBackoffBeatsSynchronizedHerd) {
   // ...but lockstep retries slam the connect queue while jitter spreads it.
   EXPECT_GT(rSync.peakQueueInflation, 50.0);
   EXPECT_LT(rJit.peakQueueInflation, rSync.peakQueueInflation / 2.0);
+}
+
+TEST(ChurnConfigTest, RejectsNegativeSessions) {
+  ChurnWorkloadConfig cfg = fastChurn();
+  cfg.sessions = -1;
+  EXPECT_THROW((void)runChurnWorkload(1, cfg), std::invalid_argument);
+}
+
+TEST(ChurnConfigTest, RejectsZeroShards) {
+  ChurnWorkloadConfig cfg = fastChurn();
+  cfg.shards = 0;
+  EXPECT_THROW((void)runChurnWorkload(1, cfg), std::invalid_argument);
+}
+
+TEST(ChurnConfigTest, RejectsZeroChannels) {
+  ChurnWorkloadConfig cfg = fastChurn();
+  cfg.channels = 0;
+  EXPECT_THROW((void)runChurnWorkload(1, cfg), std::invalid_argument);
+}
+
+TEST(ChurnConfigTest, RejectsZeroPublishPeriod) {
+  ChurnWorkloadConfig cfg = fastChurn();
+  cfg.publishEvery = Duration::zero();
+  EXPECT_THROW((void)runChurnWorkload(1, cfg), std::invalid_argument);
+}
+
+// What every client accepted, and when, is independent of how the hub groups
+// deliveries into events: these digests were recorded with one event per
+// subscriber per message and must not move under batched fan-out.
+TEST(SessionChurnTest, DeliveryTraceIsPinned) {
+  EXPECT_EQ(runChurnWorkload(17, crashChurn()).deliveryTrace,
+            0x8ce27afeed19beddULL);
+  EXPECT_EQ(runChurnWorkload(19, expiryChurn()).deliveryTrace,
+            0x193435efc6e38048ULL);
+  EXPECT_EQ(runChurnWorkload(21, herdChurn(false)).deliveryTrace,
+            0x25978b9ea4196395ULL);
+  EXPECT_EQ(runChurnWorkload(21, herdChurn(true)).deliveryTrace,
+            0xe16d963fb7e34c6cULL);
 }
 
 // ------------------------------------------------ thread-invariance sweep
