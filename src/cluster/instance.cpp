@@ -1,6 +1,8 @@
 #include "cluster/instance.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace msim::cluster {
 
@@ -14,12 +16,37 @@ const char* toString(InstanceState s) {
   return "?";
 }
 
+namespace {
+
+/// Rejects capacity specs the load model cannot run (see ShardCapacitySpec).
+ShardCapacitySpec validated(ShardCapacitySpec c) {
+  const auto reject = [](const char* what) {
+    throw std::invalid_argument(std::string{"ShardCapacitySpec: "} + what);
+  };
+  if (!(c.cores > 0.0)) reject("cores must be > 0");
+  if (!(c.cpuPerForwardUs >= 0.0)) reject("cpuPerForwardUs must be >= 0");
+  if (c.loadSampleEvery <= Duration::zero()) {
+    reject("loadSampleEvery must be > 0");
+  }
+  if (!(c.loadEwmaAlpha > 0.0 && c.loadEwmaAlpha <= 1.0)) {
+    reject("loadEwmaAlpha must lie in (0, 1]");
+  }
+  if (!(c.saturationKnee > 0.0 && c.saturationKnee < 1.0)) {
+    reject("saturationKnee must lie in (0, 1)");
+  }
+  if (!(c.maxInflation >= 1.0)) reject("maxInflation must be >= 1");
+  if (c.softUserCap < 0) reject("softUserCap must be >= 0");
+  return c;
+}
+
+}  // namespace
+
 RelayInstance::RelayInstance(Simulator& sim, std::uint32_t id, Region region,
                              DataSpec spec, ShardCapacitySpec capacity)
     : sim_{sim},
       id_{id},
       region_{std::move(region)},
-      capacity_{capacity},
+      capacity_{validated(capacity)},
       baseProvisioning_{spec.provisioningFactor} {
   room_ = std::make_shared<RelayRoom>(sim_, std::move(spec));
   room_->hooks().onLocalDeliver = [this](std::uint64_t toUser,
@@ -47,6 +74,23 @@ void RelayInstance::stop() {
   if (loadSampler_) loadSampler_->stop();
   // Pending fan-out batches captured the room shared_ptr; keeping room_
   // alive here lets in-flight deliveries complete after the shard stops.
+}
+
+RelayRoomSnapshot RelayInstance::evacuate() {
+  RelayRoomSnapshot snap = room_->exportSnapshot();
+  for (const RelayUserRecord& u : snap.users) room_->leave(u.id);
+  stop();
+  return snap;
+}
+
+void RelayInstance::adopt(
+    const RelayRoomSnapshot& snap,
+    const std::function<RelayServer*(std::uint64_t)>& homeFor) {
+  // Pre-size for the merged population before the joins land: an import
+  // can double a shard, and a mid-import rehash of every column is exactly
+  // the setup cost the bulk path avoids.
+  room_->reserveUsers(userCount() + snap.users.size());
+  room_->importSnapshot(snap, homeFor);
 }
 
 double RelayInstance::utilization() const {

@@ -21,7 +21,11 @@
 
 namespace msim::cluster {
 
-/// Per-shard server capacity model.
+/// Per-shard server capacity model. RelayInstance's constructor rejects a
+/// spec it cannot run with std::invalid_argument: cores > 0,
+/// cpuPerForwardUs >= 0, loadSampleEvery > 0 (a zero period re-arms the
+/// sampler at the same instant forever), 0 < loadEwmaAlpha <= 1,
+/// 0 < saturationKnee < 1, maxInflation >= 1 and softUserCap >= 0.
 struct ShardCapacitySpec {
   /// Server CPU cost per forwarded message (decode, filter, enqueue), µs.
   /// ~15 µs matches a t3.medium-class relay saturating around 130k
@@ -79,6 +83,17 @@ class RelayInstance {
   void activate();
   void beginDrain();
   void stop();
+
+  // ---- migration step (both cluster runtimes) -----------------------------
+  /// Exports the room, makes every member leave and stops the shard. Fan-out
+  /// batches already scheduled here captured their recipients at broadcast
+  /// time, so in-flight deliveries still land after the leave.
+  RelayRoomSnapshot evacuate();
+  /// Reserves room for the merged population, then imports `snap` (homed via
+  /// `homeFor` when given, detached otherwise; see
+  /// RelayRoom::importSnapshot).
+  void adopt(const RelayRoomSnapshot& snap,
+             const std::function<RelayServer*(std::uint64_t)>& homeFor = {});
 
   // ---- capacity model -----------------------------------------------------
   /// EWMA of the room's forward rate, forwards/s.

@@ -112,51 +112,29 @@ std::size_t InstanceManager::drain(
   RelayInstance* target = pickMigrationTarget(instanceId);
   if (target == nullptr) return 0;
 
-  const std::size_t moved = migrateRoom(instanceId, target->id(), homeFor);
-  if (source->userCount() == 0) source->stop();
-  return moved;
+  // The whole handoff runs inside this one event, so no send can observe
+  // the users between the source's leave and the target's import. Fan-out
+  // batches already scheduled on the source captured (id, home) pairs and
+  // the room's delivery hook, so in-flight updates still deliver.
+  const RelayRoomSnapshot snap = source->evacuate();
+  if (snap.users.empty()) return 0;
+  target->adopt(snap, homeFor);
+  for (const RelayUserRecord& u : snap.users) {
+    gateway_->reassign(u.id, target->id());
+  }
+  ++migrations_;
+  migratedUsers_ += snap.users.size();
+  return snap.users.size();
 }
 
 std::size_t InstanceManager::crash(std::uint32_t instanceId) {
   RelayInstance* inst = instance(instanceId);
   if (inst == nullptr || inst->state() == InstanceState::Stopped) return 0;
-  const RelayRoomSnapshot snap = inst->room().exportSnapshot();
   // Members drop with no handoff: in-flight batches still deliver (the room
   // outlives the stop), but everything after the crash instant is lost
   // until sessions reconnect and recover via channel history.
-  for (const RelayUserRecord& u : snap.users) {
-    inst->room().leave(u.id);
-  }
-  inst->stop();
   ++crashes_;
-  return snap.users.size();
-}
-
-std::size_t InstanceManager::migrateRoom(
-    std::uint32_t from, std::uint32_t to,
-    const std::function<RelayServer*(std::uint64_t)>& homeFor) {
-  RelayInstance* source = instance(from);
-  RelayInstance* target = instance(to);
-  if (source == nullptr || target == nullptr || from == to) return 0;
-
-  const RelayRoomSnapshot snap = source->room().exportSnapshot();
-  if (snap.users.empty()) return 0;
-
-  // Order matters for zero loss: import into the target first (so sends that
-  // race the handoff find the user somewhere), then drop source membership.
-  // Fan-out batches already scheduled on the source captured (id, home)
-  // pairs and the room's delivery hook, so they still fire — delivery of
-  // in-flight updates survives the leave() below.
-  target->room().importSnapshot(snap, homeFor);
-  for (const RelayUserRecord& u : snap.users) {
-    gateway_->reassign(u.id, to);
-  }
-  for (const RelayUserRecord& u : snap.users) {
-    source->room().leave(u.id);
-  }
-  ++migrations_;
-  migratedUsers_ += snap.users.size();
-  return snap.users.size();
+  return inst->evacuate().users.size();
 }
 
 void InstanceManager::setDeliverySink(RelayInstance::DeliverySink sink) {

@@ -113,9 +113,6 @@ class InstanceManager {
   /// stale — reconnecting sessions hit placeReconnect's re-place path, which
   /// is what a reconnect storm exercises. Returns users dropped.
   std::size_t crash(std::uint32_t instanceId);
-  /// Moves every user of shard `from` onto shard `to`.
-  std::size_t migrateRoom(std::uint32_t from, std::uint32_t to,
-                          const std::function<RelayServer*(std::uint64_t)>& homeFor = {});
   /// Where the placement policy would send users from `sourceId`'s region
   /// (the shard itself excluded); nullptr when no shard accepts users.
   RelayInstance* pickMigrationTarget(std::uint32_t sourceId);

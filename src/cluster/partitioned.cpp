@@ -18,12 +18,25 @@ namespace {
 // low enough that adding a lookahead cannot overflow.
 constexpr std::int64_t kInfNs = std::numeric_limits<std::int64_t>::max() / 4;
 
-PartitionedClusterConfig normalize(PartitionedClusterConfig cfg) {
+/// Rejects configs the cluster cannot run (see the constructor's contract)
+/// and fills in the default regions.
+PartitionedClusterConfig validated(PartitionedClusterConfig cfg) {
+  const auto reject = [](const char* what) {
+    throw std::invalid_argument(std::string{"PartitionedClusterConfig: "} +
+                                what);
+  };
+  if (cfg.shards < 1) reject("shards must be >= 1");
+  if (cfg.users < 0) reject("users must be >= 0");
+  if (!(cfg.updateRateHz > 0.0)) reject("updateRateHz must be > 0");
+  if (!(cfg.latticeSpacingM >= 0.0)) reject("latticeSpacingM must be >= 0");
+  if (!(cfg.ghostRadiusM >= 0.0)) reject("ghostRadiusM must be >= 0");
+  if (!cfg.directShardLinks) {
+    reject("directShardLinks must be true (the direct mesh is the only "
+           "topology)");
+  }
   if (cfg.regions.empty()) {
     cfg.regions = {regions::usEast(), regions::usWest(), regions::europe()};
   }
-  if (cfg.shards < 1) cfg.shards = 1;
-  if (cfg.users < 0) cfg.users = 0;
   return cfg;
 }
 
@@ -39,7 +52,7 @@ pdes::EngineConfig engineConfig(const PartitionedClusterConfig& cfg) {
 }  // namespace
 
 PartitionedCluster::PartitionedCluster(PartitionedClusterConfig cfg)
-    : cfg_{normalize(std::move(cfg))},
+    : cfg_{validated(std::move(cfg))},
       engine_{static_cast<std::uint32_t>(cfg_.shards) + 1, cfg_.seed,
               engineConfig(cfg_)} {
   const auto shardCount = static_cast<std::uint32_t>(cfg_.shards);
@@ -49,10 +62,10 @@ PartitionedCluster::PartitionedCluster(PartitionedClusterConfig cfg)
   };
 
   // Channels: control <-> each shard with lookahead = geo trunk bound
-  // floored by the control-plane turnaround, plus (by default) a direct
-  // shard <-> shard mesh at the raw trunk bound — the lanes migration
-  // snapshots and interest-scoped ghosts ride instead of bouncing through
-  // control. Declared serially, so the engine's link table keeps one order.
+  // floored by the control-plane turnaround, plus a direct shard <-> shard
+  // mesh at the raw trunk bound — the lanes migration snapshots and
+  // interest-scoped ghosts ride. Declared serially, so the engine's link
+  // table keeps one order.
   for (std::uint32_t s = 0; s < shardCount; ++s) {
     Duration lookahead =
         InternetFabric::trunkLookahead(controlRegion, regionOf(s));
@@ -62,13 +75,11 @@ PartitionedCluster::PartitionedCluster(PartitionedClusterConfig cfg)
     engine_.link(0, partitionOf(s), lookahead);
     engine_.link(partitionOf(s), 0, lookahead);
   }
-  if (cfg_.directShardLinks) {
-    for (std::uint32_t s = 0; s < shardCount; ++s) {
-      for (std::uint32_t t = 0; t < shardCount; ++t) {
-        if (s == t) continue;
-        engine_.link(partitionOf(s), partitionOf(t),
-                     InternetFabric::trunkLookahead(regionOf(s), regionOf(t)));
-      }
+  for (std::uint32_t s = 0; s < shardCount; ++s) {
+    for (std::uint32_t t = 0; t < shardCount; ++t) {
+      if (s == t) continue;
+      engine_.link(partitionOf(s), partitionOf(t),
+                   InternetFabric::trunkLookahead(regionOf(s), regionOf(t)));
     }
   }
 
@@ -160,36 +171,21 @@ void PartitionedCluster::scheduleDrain(std::uint32_t shard, TimePoint at) {
 //
 // Every cross-partition send instant in this workload is derivable: drain
 // orders go out exactly at their scheduled times, exports exactly when the
-// order lands, hub relays exactly one shard->control hop later, and ghosts
-// exactly on pacing ticks. The helpers below keep each partition's
-// out-links promised up to the earliest such instant still ahead of it, so
-// the engine's adaptive bounds can run every quiet stretch as one window.
-// Under-promising (a floor earlier than the next real send) is always
-// sound; the floors are also monotone by construction, which notePromise
-// enforces.
-
-std::int64_t PartitionedCluster::nextControlSendNs() const {
-  std::int64_t floorNs = kInfNs;
-  if (drainCursor_ < drainSchedule_.size()) {
-    floorNs = drainSchedule_[drainCursor_].first;
-  }
-  for (const std::int64_t f : pendingForwardNs_) {
-    floorNs = std::min(floorNs, f);
-  }
-  return floorNs;
-}
+// order lands, and ghosts exactly on pacing ticks. The helpers below keep
+// each partition's out-links promised up to the earliest such instant still
+// ahead of it, so the engine's adaptive bounds can run every quiet stretch
+// as one window. Under-promising (a floor earlier than the next real send)
+// is always sound; the floors are also monotone by construction, which
+// notePromise enforces.
 
 void PartitionedCluster::promiseControlLinks() {
   if (!promisesArmed_) return;
   pdes::Partition& control = engine_.partition(0);
-  const std::int64_t nowNs = control.sim().now().toNanos();
-  // Relay entries in the past can no longer constrain a future send (their
-  // forward either executed or never will — an empty source exports
-  // nothing); drop them so one stale entry can't pin the floor forever.
-  std::erase_if(pendingForwardNs_,
-                [nowNs](std::int64_t f) { return f < nowNs; });
-  const TimePoint floor =
-      TimePoint::fromNanos(std::max(nextControlSendNs(), nowNs));
+  const std::int64_t nextOrderNs = drainCursor_ < drainSchedule_.size()
+                                       ? drainSchedule_[drainCursor_].first
+                                       : kInfNs;
+  const TimePoint floor = TimePoint::fromNanos(
+      std::max(nextOrderNs, control.sim().now().toNanos()));
   for (std::uint32_t s = 0; s < shards_.size(); ++s) {
     control.promiseNoSendBefore(partitionOf(s), floor);
   }
@@ -206,7 +202,6 @@ void PartitionedCluster::promiseShardLinks(std::uint32_t s) {
   const auto shardCount = static_cast<std::uint32_t>(shards_.size());
   const std::uint32_t ghostTarget = (s + 1) % shardCount;
   part.promiseNoSendBefore(0, TimePoint::fromNanos(std::max(drainFloor, nowNs)));
-  if (!cfg_.directShardLinks) return;
   for (std::uint32_t t = 0; t < shardCount; ++t) {
     if (t == s) continue;
     std::int64_t floorNs = drainFloor;
@@ -245,18 +240,9 @@ void PartitionedCluster::controlDrain(std::uint32_t source) {
   assigned_[source] = 0;
 
   pdes::Partition& control = engine_.partition(0);
-  const Duration toSource = engine_.lookahead(0, partitionOf(source));
-  control.send(partitionOf(source), control.sim().now() + toSource,
+  control.send(partitionOf(source),
+               control.sim().now() + engine_.lookahead(0, partitionOf(source)),
                [this, source, target] { sourceExport(source, target); });
-  if (!engine_.linked(partitionOf(source), partitionOf(target))) {
-    // Hub relay: the snapshot will bounce through control exactly one
-    // shard->control hop after the order lands — control cannot promise
-    // past that instant until the relay retires.
-    pendingForwardNs_.push_back(
-        (control.sim().now() + toSource +
-         engine_.lookahead(partitionOf(source), 0))
-            .toNanos());
-  }
   promiseControlLinks();
 }
 
@@ -266,55 +252,28 @@ void PartitionedCluster::sourceExport(std::uint32_t source,
     ++shardDrainCursor_[source];
   }
   Shard& shard = shards_[source];
-  shard.inst->beginDrain();
-  auto snap =
-      std::make_shared<RelayRoomSnapshot>(shard.inst->room().exportSnapshot());
-  // Empty the source immediately: fan-out batches already scheduled here
-  // captured their recipients at broadcast time, so in-flight deliveries
-  // survive the leave and the zero-loss ledger stays exact.
-  for (const RelayUserRecord& u : snap->users) shard.inst->room().leave(u.id);
-  if (shard.inst->userCount() == 0) shard.inst->stop();
-  if (snap->users.empty()) {
-    promiseShardLinks(source);
-    return;
-  }
-
-  pdes::Partition& part = engine_.partition(partitionOf(source));
-  const std::uint32_t srcPart = partitionOf(source);
-  const std::uint32_t dstPart = partitionOf(target);
-  if (engine_.linked(srcPart, dstPart)) {
-    // Two hops: the snapshot rides the direct link straight to the target.
-    part.send(dstPart, part.sim().now() + engine_.lookahead(srcPart, dstPart),
-              [this, snap, target] { importMigration(target, snap, 2); });
-  } else {
-    // Three-hop fallback: relay through control, as the hub topology must.
-    part.send(0, part.sim().now() + engine_.lookahead(srcPart, 0),
-              [this, snap, target] { controlForward(snap, target); });
+  RelayRoomSnapshot snap = shard.inst->evacuate();
+  if (!snap.users.empty()) {
+    ++shard.migrationHopsIn;  // the drain order that landed here
+    // The second hop: the snapshot rides the direct link to the target.
+    pdes::Partition& part = engine_.partition(partitionOf(source));
+    part.send(partitionOf(target),
+              part.sim().now() +
+                  engine_.lookahead(partitionOf(source), partitionOf(target)),
+              [this, target, snap = std::move(snap)] {
+                importMigration(target, snap);
+              });
   }
   promiseShardLinks(source);
 }
 
-void PartitionedCluster::controlForward(
-    std::shared_ptr<RelayRoomSnapshot> snap, std::uint32_t target) {
-  pdes::Partition& control = engine_.partition(0);
-  control.send(partitionOf(target),
-               control.sim().now() + engine_.lookahead(0, partitionOf(target)),
-               [this, snap, target] { importMigration(target, snap, 3); });
-  promiseControlLinks();
-}
-
-void PartitionedCluster::importMigration(
-    std::uint32_t target, const std::shared_ptr<RelayRoomSnapshot>& snap,
-    std::uint32_t hops) {
+void PartitionedCluster::importMigration(std::uint32_t target,
+                                         const RelayRoomSnapshot& snap) {
   Shard& shard = shards_[target];
-  // Pre-size for the merged population before the joins land — at 1M-user
-  // scale an import can double a shard, and a mid-import rehash of every
-  // column is exactly the setup cost the bulk path avoids.
-  shard.inst->room().reserveUsers(shard.inst->userCount() + snap->users.size());
-  shard.inst->room().importSnapshot(*snap);
+  shard.inst->adopt(snap);
   ++shard.migrationsIn;
-  shard.migratedUsersIn += snap->users.size();
-  shard.migrationHopsIn += hops;
+  shard.migratedUsersIn += snap.users.size();
+  ++shard.migrationHopsIn;  // the snapshot that landed here
 }
 
 // ---- pacing -----------------------------------------------------------------
@@ -408,10 +367,11 @@ PartitionedClusterStats PartitionedCluster::run(Duration measure,
     Simulator& sim = engine_.partition(partitionOf(s)).sim();
     shard.pacer =
         std::make_unique<PeriodicTask>(sim, period, [this, s] { paceShard(s); });
-    // Stop exactly at the window edge. The tick landing on the edge was
-    // scheduled earlier, so it still fires (schedule-seq order), matching
-    // the monolithic bench's run-then-stop sequence. Stopping also retires
-    // the ghost lane's promise floor.
+    // Stop exactly at the window edge. The stop is scheduled before any
+    // tick, so it wins the tie with the tick landing on the edge
+    // (schedule-seq order): a shard paces at period, 2 x period, ...
+    // strictly below stopAt. Stopping also retires the ghost lane's promise
+    // floor.
     PeriodicTask* pacer = shard.pacer.get();
     sim.schedule(stopAt, [this, s, pacer] {
       pacer->stop();

@@ -2,31 +2,33 @@
 
 // A planet-scale cluster run split across PDES partitions.
 //
-// bench_cluster_planet_scale's monolithic form drives 32 shards from one
-// Simulator — one core per run no matter how many the host has. This layer
-// re-expresses the same workload on pdes::Engine: each shard becomes its
-// own logical process (partition) with a private event loop, and one extra
-// control partition plays the gateway/autoscaler role (placement book,
-// drain brokerage). Cross-partition traffic is exactly what crosses
-// machines in the real deployment — control-plane RPCs and room-migration
-// snapshots — and rides channels whose conservative lookahead is the geo
-// fabric's trunk bound (InternetFabric::trunkLookahead) floored by the
-// configured control-plane turnaround: tens of milliseconds against
+// InstanceManager drives a shard fleet from one Simulator — one core per
+// run no matter how many the host has. This layer re-expresses the planet
+// workload on pdes::Engine: each shard becomes its own logical process
+// (partition) with a private event loop, and one extra control partition
+// plays the gateway/autoscaler role (placement book, drain brokerage).
+// Cross-partition traffic is exactly what crosses machines in the real
+// deployment — control-plane RPCs and room-migration snapshots — and rides
+// channels whose conservative lookahead is the geo fabric's trunk bound
+// (InternetFabric::trunkLookahead), floored by the configured control-plane
+// turnaround on control links: tens of milliseconds against
 // microsecond-scale intra-shard event spacing, which is the whole reason
-// the partitioning parallelizes.
+// the partitioning parallelizes. Every bench_cluster_planet_scale mode runs
+// on this layer.
 //
-// Topology: control <-> every shard partition, plus (by default) a full
-// mesh of direct shard <-> shard channels with geo-trunk lookahead. A drain
-// then travels drain-order -> snapshot-to-target as TWO timestamped hops —
-// the source exports straight to the target over its direct link — with the
-// classic three-hop relay through control kept as the fallback whenever no
-// direct channel exists (directShardLinks = false). The source empties the
-// moment it exports (in-flight fan-out batches still deliver — they
-// captured their recipients at broadcast time). Expected and delivered
-// counts are kept per shard partition, so the zero-loss invariant of the
-// monolithic bench carries over unchanged; migration accounting moved from
-// the control book to per-shard import counters so the two-hop path never
-// touches control state from a shard partition's event.
+// Topology: control <-> every shard partition, plus a full mesh of direct
+// shard <-> shard channels with geo-trunk lookahead. A drain travels as TWO
+// timestamped hops: control sends the drain order to the source, and the
+// source evacuates its room (RelayInstance::evacuate) and sends the snapshot
+// straight to the target over the direct link, where it is adopted
+// (RelayInstance::adopt) — the same migration step InstanceManager::drain
+// runs inside one Simulator, with Partition::send as the transport. The
+// source empties the moment it exports (in-flight fan-out batches still
+// deliver — they captured their recipients at broadcast time). Expected and
+// delivered counts are kept per shard partition, so the zero-loss invariant
+// of the single-sim cluster carries over unchanged; migration accounting
+// lives in per-shard import counters so no shard partition's event ever
+// touches control state.
 //
 // Window coalescing: with adaptiveWindows on, the cluster derives per-link
 // send promises (pdes::Partition::promiseNoSendBefore) from what it already
@@ -34,9 +36,8 @@
 // migration send instant, and the pacing cadence fixes every ghost-forward
 // instant. Between those instants every channel is provably quiet, so the
 // engine's adaptive bounds let each shard run whole stretches of simulated
-// time per barrier instead of one trunk-lookahead window at a time. That —
-// not the hop count — is where the rounds-per-sim-second collapse comes
-// from; see DESIGN.md §11.
+// time per barrier instead of one trunk-lookahead window at a time. That is
+// where the rounds-per-sim-second collapse comes from; see DESIGN.md §11.
 //
 // Interest-scoped forwarding (interestForwarding): each pacing tick, a
 // shard queries its room's AOI grid for avatars within ghostRadiusM of its
@@ -79,10 +80,9 @@ struct PartitionedClusterConfig {
   /// Floor on control-link lookahead (control-plane RPC turnaround); the
   /// geo trunk bound is used when larger.
   Duration controlLookahead = Duration::millis(25);
-  /// Declare direct shard <-> shard channels (full mesh) with geo-trunk
-  /// lookahead: migration snapshots hop source -> target directly (two hops
-  /// instead of three) and interest-scoped ghost forwarding has a lane.
-  /// Off = the classic hub star; migrations then relay through control.
+  /// The direct shard <-> shard mesh is the only topology: migration
+  /// snapshots and interest-scoped ghosts ride it. Must stay true — the
+  /// constructor throws std::invalid_argument when it is false.
   bool directShardLinks{true};
   /// Derive per-link send promises from the drain schedule and pacing
   /// cadence so the engine coalesces windows (pdes adaptive windows). The
@@ -95,8 +95,8 @@ struct PartitionedClusterConfig {
   /// forwarding need. 0 = no poses (all-to-all fan-out path).
   double latticeSpacingM{0.0};
   /// Ghost avatars within ghostRadiusM of each shard's portal point (the
-  /// lattice origin) to the ring-next shard every pacing tick. Requires
-  /// directShardLinks and at least two shards.
+  /// lattice origin) to the ring-next shard every pacing tick. Requires at
+  /// least two shards.
   bool interestForwarding{false};
   double ghostRadiusM{25.0};
   bool audit{true};
@@ -109,9 +109,9 @@ struct PartitionedClusterStats {
   std::uint64_t delivered{0};
   std::uint64_t migrations{0};
   std::uint64_t migratedUsers{0};
-  /// Cross-partition hops the migrations took in total: 2 per direct-link
-  /// migration, 3 per hub-relayed one — the regression hook for the
-  /// two-hop path.
+  /// Cross-partition hops the migrations took in total: always 2 per
+  /// migration (drain order, snapshot) — the regression hook for the
+  /// two-hop step.
   std::uint64_t migrationHops{0};
   /// Interest-scoped ghost ledger (exactly-once: sent == received once the
   /// tail drains).
@@ -127,6 +127,9 @@ struct PartitionedClusterStats {
 /// partition's Simulator), and the control partition's placement book.
 class PartitionedCluster {
  public:
+  /// Throws std::invalid_argument on a config it cannot run: shards < 1,
+  /// users < 0, updateRateHz <= 0, latticeSpacingM < 0, ghostRadiusM < 0, or
+  /// directShardLinks == false.
   explicit PartitionedCluster(PartitionedClusterConfig cfg);
   ~PartitionedCluster();
 
@@ -136,8 +139,7 @@ class PartitionedCluster {
   /// Schedules a control-brokered drain of `shard` at absolute time `at`
   /// (must be called before run()). The control partition picks the
   /// least-assigned accepting target; the snapshot then hops straight to
-  /// the target over a direct link when one exists, or relays through
-  /// control otherwise.
+  /// the target over the direct link.
   void scheduleDrain(std::uint32_t shard, TimePoint at);
 
   /// Paces every shard at cfg.updateRateHz for `measure`, lets the
@@ -168,14 +170,16 @@ class PartitionedCluster {
     std::unique_ptr<PeriodicTask> pacer;
     // Every counter below is written only by this shard's own partition
     // events (imports run on the target, ghosts count on sender/receiver
-    // sides separately), so the two-hop path never races on shared state.
+    // sides separately), so migrations never race on shared state.
     std::uint64_t broadcasts{0};
     std::uint64_t expected{0};
     std::uint64_t delivered{0};
     std::uint64_t seq{0};  // per-partition update sequence stamp
     std::uint64_t migrationsIn{0};      // snapshots imported here
     std::uint64_t migratedUsersIn{0};   // users those snapshots carried
-    std::uint64_t migrationHopsIn{0};   // 2 per direct, 3 per hub relay
+    // Migration hops that landed here: a drain order this shard exported
+    // on, plus each snapshot it imported.
+    std::uint64_t migrationHopsIn{0};
     std::uint64_t ghostsSent{0};
     std::uint64_t ghostsReceived{0};
     std::int64_t nextGhostTickNs{0};  // promise floor for the ghost lane
@@ -188,25 +192,18 @@ class PartitionedCluster {
   }
 
   [[nodiscard]] bool ghostActive() const {
-    return cfg_.interestForwarding && cfg_.directShardLinks &&
-           shards_.size() > 1;
+    return cfg_.interestForwarding && shards_.size() > 1;
   }
 
   void controlDrain(std::uint32_t source);
   void sourceExport(std::uint32_t source, std::uint32_t target);
-  void controlForward(std::shared_ptr<RelayRoomSnapshot> snap,
-                      std::uint32_t target);
   /// Final migration hop, always executed on the target's partition.
-  void importMigration(std::uint32_t target,
-                       const std::shared_ptr<RelayRoomSnapshot>& snap,
-                       std::uint32_t hops);
+  void importMigration(std::uint32_t target, const RelayRoomSnapshot& snap);
   void paceShard(std::uint32_t shard);
 
   // ---- promise choreography (adaptiveWindows) -----------------------------
-  /// Earliest instant control could still send on any out-link: the next
-  /// unprocessed drain order, or an in-flight hub-relay forward.
-  [[nodiscard]] std::int64_t nextControlSendNs() const;
-  /// Re-promises every control out-link from the floor above.
+  /// Re-promises every control out-link up to the next unprocessed drain
+  /// order, the only thing control ever sends.
   void promiseControlLinks();
   /// Re-promises every out-link of shard s: the next drain-order arrival
   /// (= the export send instant), min'd with the next pacing tick on the
@@ -226,7 +223,6 @@ class PartitionedCluster {
   // cursors advance as each export executes on its shard.
   std::vector<std::pair<std::int64_t, std::uint32_t>> drainSchedule_;
   std::size_t drainCursor_{0};
-  std::vector<std::int64_t> pendingForwardNs_;  // in-flight hub relays
   std::vector<std::vector<std::int64_t>> shardDrainNs_;  // arrival instants
   std::vector<std::size_t> shardDrainCursor_;
   bool promisesArmed_{false};

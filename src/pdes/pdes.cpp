@@ -235,8 +235,6 @@ Engine::Engine(std::uint32_t partitions, std::uint64_t seed, EngineConfig cfg)
   promisedAny_.assign(partitions, 0);
   eot_.assign(partitions, kInfNs);
   boundNs_.assign(partitions, kInfNs);
-  eotBase_.assign(partitions, kInfNs);
-  boundBaseNs_.assign(partitions, kInfNs);
   idleRounds_.assign(partitions, 0);
   injectionDigest_.assign(partitions, 0);
 }
@@ -337,9 +335,16 @@ MSIM_HOT std::size_t Engine::deliverPending() {
   return delivered;
 }
 
-void Engine::relaxBounds(std::vector<std::int64_t>& eot,
-                         std::vector<std::int64_t>& bound,
-                         std::int64_t limitNs, bool usePromises) {
+std::uint64_t Engine::computeBounds(std::int64_t limitNs) {
+  bool usePromises = false;
+  if (cfg_.adaptiveWindows) {
+    for (const char flagged : promisedAny_) {
+      if (flagged != 0) {
+        usePromises = true;
+        break;
+      }
+    }
+  }
   // EOT fixed point: E_j = min(localNext_j, min over s->j (C_sj + L_sj))
   // where the per-channel output bound C_sj is E_s, raised to the link's
   // promised send floor when promises are honored: C_sj = max(E_s, P_sj).
@@ -347,15 +352,16 @@ void Engine::relaxBounds(std::vector<std::int64_t>& eot,
   // table until stable — Bellman-Ford on a graph of |partitions| nodes,
   // where positive lookaheads guarantee convergence (each pass can only
   // lower an E_j toward the global minimum plus accumulated lookaheads).
+  // The fixed point does not depend on the order links are relaxed in.
   // Promises only ever raise a channel's bound above the plain fixed
   // point, so the progress argument is untouched.
   const std::uint32_t count = partitionCount();
   for (std::uint32_t i = 0; i < count; ++i) {
-    eot[i] = clampInf(partitions_[i]->sim().nextEventTimeLowerBound().toNanos());
+    eot_[i] = clampInf(partitions_[i]->sim().nextEventTimeLowerBound().toNanos());
   }
   const std::size_t stride = partitions_.size();
   auto channelEot = [&](const Link& l) {
-    std::int64_t e = eot[l.src];
+    std::int64_t e = eot_[l.src];
     if (usePromises) {
       const std::int64_t floor =
           promiseNs_[static_cast<std::size_t>(l.src) * stride + l.dst];
@@ -367,49 +373,34 @@ void Engine::relaxBounds(std::vector<std::int64_t>& eot,
     changed = false;
     for (const Link& l : links_) {
       const std::int64_t viaLink = clampInf(channelEot(l) + l.lookaheadNs);
-      if (viaLink < eot[l.dst]) {
-        eot[l.dst] = viaLink;
+      if (viaLink < eot_[l.dst]) {
+        eot_[l.dst] = viaLink;
         changed = true;
       }
     }
   }
   // bound_i: nothing can arrive at i before any incoming channel's output
   // bound plus that link's lookahead, so i may execute everything strictly
-  // earlier. Partitions with no incoming links are bounded by the run
-  // limit alone.
-  for (std::uint32_t i = 0; i < count; ++i) bound[i] = kInfNs;
-  for (const Link& l : links_) {
-    bound[l.dst] = std::min(bound[l.dst], clampInf(channelEot(l) + l.lookaheadNs));
-  }
-  for (std::uint32_t i = 0; i < count; ++i) {
-    // Execute events strictly below the bound, never past the run limit:
-    // run(t) is inclusive of t, hence the -1.
-    bound[i] = std::min(bound[i] - 1, limitNs);
-  }
-}
-
-std::uint64_t Engine::computeBounds(std::int64_t limitNs) {
-  bool promisesActive = false;
-  if (cfg_.adaptiveWindows) {
-    for (const char flagged : promisedAny_) {
-      if (flagged != 0) {
-        promisesActive = true;
-        break;
-      }
-    }
-  }
-  relaxBounds(eot_, boundNs_, limitNs, promisesActive);
-  if (!promisesActive) return 0;
-  // Promise-free comparison pass: how many partitions did a promise let
-  // run past the plain conservative horizon this round? This is the
-  // coalescing win the counters expose; it costs a second relaxation only
-  // while promises are active, and active promises shrink the round count
-  // far more than the pass costs.
-  relaxBounds(eotBase_, boundBaseNs_, limitNs, false);
+  // earlier, never past the run limit (run(t) is inclusive of t, hence the
+  // -1). Partitions with no incoming links are bounded by the run limit
+  // alone. A window counts as coalesced when a promise floor set its bound:
+  // it beats min over s->i of (E_s + L_si) over the same E values.
+  const auto exclusive = [limitNs](std::int64_t ns) {
+    return std::min(ns - 1, limitNs);
+  };
+  for (std::uint32_t i = 0; i < count; ++i) boundNs_[i] = exclusive(kInfNs);
   std::uint64_t coalesced = 0;
-  const std::uint32_t count = partitionCount();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (boundNs_[i] > boundBaseNs_[i]) ++coalesced;
+  for (std::size_t k = 0; k < links_.size();) {
+    const std::uint32_t dst = links_[k].dst;
+    std::int64_t bound = kInfNs;
+    std::int64_t plain = kInfNs;
+    for (; k < links_.size() && links_[k].dst == dst; ++k) {
+      const Link& l = links_[k];
+      bound = std::min(bound, clampInf(channelEot(l) + l.lookaheadNs));
+      plain = std::min(plain, clampInf(eot_[l.src] + l.lookaheadNs));
+    }
+    boundNs_[dst] = exclusive(bound);
+    if (boundNs_[dst] > exclusive(plain)) ++coalesced;
   }
   return coalesced;
 }
@@ -424,6 +415,11 @@ RunReport Engine::run(TimePoint limit) {
   };
   RunReport report;
   report.workers = pool.workers();
+  // Sorted by (dst, src), the link table gives computeBounds each
+  // partition's incoming links as one contiguous run.
+  std::sort(links_.begin(), links_.end(), [](const Link& a, const Link& b) {
+    return a.dst != b.dst ? a.dst < b.dst : a.src < b.src;
+  });
 
   idleRounds_.assign(count, 0);
   std::uint64_t stalledRounds = 0;

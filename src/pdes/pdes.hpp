@@ -44,8 +44,8 @@
 // the plain fixed point, so deadlock-freedom and the determinism argument
 // below are unchanged; send() enforces every promise the way it enforces
 // lookahead — by throwing. RunReport::coalescedWindows counts how often a
-// promise actually extended a partition's window past the promise-free
-// horizon.
+// promise floor set a partition's window bound (a lower bound of how often
+// promises extended it past the promise-free horizon; see RunReport).
 //
 // Determinism argument (the property PR-3's audit layer pins):
 //   * the partition structure and link table are fixed by the caller and
@@ -160,9 +160,13 @@ struct RunReport {
   std::uint64_t rounds{0};             // synchronization windows executed
   std::uint64_t eventsExecuted{0};     // across all partitions
   std::uint64_t messagesDelivered{0};  // cross-partition
-  std::uint64_t coalescedWindows{0};   // (round, partition) pairs where a
-                                       // promise extended the window past
-                                       // the promise-free horizon
+  /// (round, partition) pairs whose bound a promise floor set: the bound
+  /// exceeds min over incoming links s->i of (E_s + L_si), taken with the
+  /// round's own EOTs E and no promise floors. Those EOTs already carry
+  /// upstream promises, so this is a lower bound of the count against a
+  /// second, fully promise-free fixed point — which the engine does not
+  /// compute.
+  std::uint64_t coalescedWindows{0};
   unsigned workers{1};                 // pool size actually used
   /// Per partition: fraction of this run's rounds in which the partition
   /// executed zero events — the idle share the coalescing is meant to
@@ -240,12 +244,9 @@ class Engine {
 
   std::size_t deliverPending();  // canonical cross-partition injection
   void notePromise(std::uint32_t src, std::uint32_t dst, TimePoint earliest);
-  /// Computes eot_/boundNs_; returns how many partitions' windows a promise
-  /// extended past the promise-free horizon this round.
+  /// Computes eot_/boundNs_ in one pass; returns how many partitions' bounds
+  /// a promise floor set this round (see RunReport::coalescedWindows).
   std::uint64_t computeBounds(std::int64_t limitNs);
-  void relaxBounds(std::vector<std::int64_t>& eot,
-                   std::vector<std::int64_t>& bound, std::int64_t limitNs,
-                   bool usePromises);
 
   struct Link {
     std::uint32_t src;
@@ -255,15 +256,13 @@ class Engine {
 
   EngineConfig cfg_;
   std::vector<std::unique_ptr<Partition>> partitions_;
-  std::vector<Link> links_;
+  std::vector<Link> links_;  // run() sorts it by (dst, src)
   std::vector<std::int64_t> lookaheadNs_;  // dense src*P+dst, -1 = none
   std::vector<std::int64_t> promiseNs_;  // dense src*P+dst send floors
   std::vector<char> promisedAny_;        // per src; avoids a shared-bool race
   std::vector<ChannelMessage> inboxScratch_;
   std::vector<std::int64_t> eot_;      // EOT fixed point, per partition
   std::vector<std::int64_t> boundNs_;  // exclusive execution bound
-  std::vector<std::int64_t> eotBase_;      // promise-free comparison pass
-  std::vector<std::int64_t> boundBaseNs_;  // (coalescedWindows counter)
   std::vector<std::uint64_t> idleRounds_;  // per partition, current run()
   // Cross-partition injections fold into a per-destination digest chain in
   // canonical delivery order. Keeping the chain on the engine side (rather

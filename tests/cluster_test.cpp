@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "avatar/codec.hpp"
 #include "cluster/deployment.hpp"
 #include "cluster/manager.hpp"
+#include "cluster/partitioned.hpp"
 #include "core/experiments.hpp"
 #include "core/seedsweep.hpp"
 
@@ -174,6 +176,70 @@ TEST(CapacityModelTest, SaturationInflatesProcessingDelay) {
   EXPECT_DOUBLE_EQ(inst.room().provisioningFactor(), baseFactor);
 }
 
+/// Constructing a shard from `spec` must throw std::invalid_argument.
+void expectRejected(const ShardCapacitySpec& spec) {
+  Simulator sim{1};
+  EXPECT_THROW(RelayInstance(sim, 0, regions::usEast(), detachedSpec(), spec),
+               std::invalid_argument);
+}
+
+TEST(CapacitySpecTest, RejectsNonPositiveCores) {
+  ShardCapacitySpec spec;
+  spec.cores = 0.0;
+  expectRejected(spec);
+}
+
+TEST(CapacitySpecTest, RejectsNegativeCpuPerForward) {
+  ShardCapacitySpec spec;
+  spec.cpuPerForwardUs = -1.0;
+  expectRejected(spec);
+}
+
+TEST(CapacitySpecTest, RejectsNonPositiveLoadSamplePeriod) {
+  ShardCapacitySpec spec;
+  spec.loadSampleEvery = Duration::zero();
+  expectRejected(spec);
+}
+
+TEST(CapacitySpecTest, RejectsEwmaAlphaOutsideUnitInterval) {
+  ShardCapacitySpec spec;
+  spec.loadEwmaAlpha = 0.0;
+  expectRejected(spec);
+  spec.loadEwmaAlpha = 1.5;
+  expectRejected(spec);
+}
+
+TEST(CapacitySpecTest, RejectsKneeOutsideOpenUnitInterval) {
+  ShardCapacitySpec spec;
+  spec.saturationKnee = 0.0;
+  expectRejected(spec);
+  spec.saturationKnee = 1.0;
+  expectRejected(spec);
+}
+
+TEST(CapacitySpecTest, RejectsInflationCeilingBelowOne) {
+  ShardCapacitySpec spec;
+  spec.maxInflation = 0.5;
+  expectRejected(spec);
+}
+
+TEST(CapacitySpecTest, RejectsNegativeSoftUserCap) {
+  ShardCapacitySpec spec;
+  spec.softUserCap = -1;
+  expectRejected(spec);
+}
+
+TEST(CapacitySpecTest, AcceptsBoundaryValues) {
+  ShardCapacitySpec spec;
+  spec.cpuPerForwardUs = 0.0;
+  spec.loadEwmaAlpha = 1.0;
+  spec.maxInflation = 1.0;
+  spec.softUserCap = 0;
+  Simulator sim{1};
+  EXPECT_NO_THROW(
+      RelayInstance(sim, 0, regions::usEast(), detachedSpec(), spec));
+}
+
 // --------------------------------------------------------------- migration
 
 TEST(MigrationTest, DrainDeliversEveryUpdateExactlyOnceInOrder) {
@@ -270,6 +336,80 @@ TEST(MigrationTest, DrainWithoutTargetKeepsServing) {
   mgr.roomOf(1)->broadcast(1, poseMsg(1, 1));
   sim.runFor(Duration::seconds(1));
   EXPECT_EQ(mgr.instance(0)->deliveredMessages(), 2u);
+}
+
+TEST(MigrationTest, BothRuntimesLeaveTheSameTargetRoom) {
+  // One posed population, drained once on each cluster runtime in a
+  // migration-only regime (no pacing tick inside the window). Both run the
+  // same RelayInstance::evacuate/adopt step, so the target room must come
+  // out identical record by record.
+  PartitionedClusterConfig pcfg;
+  pcfg.seed = 31;
+  pcfg.users = 24;
+  pcfg.shards = 4;
+  pcfg.threads = 1;
+  pcfg.updateRateHz = 0.01;  // first pacing tick far beyond the window
+  pcfg.latticeSpacingM = 2.0;
+  pcfg.dataSpec.interestGrid = true;
+  PartitionedCluster pdes{pcfg};
+
+  // The single-sim fleet gets the same members, shard by shard, posed
+  // where the partitioned constructor put them.
+  Simulator sim{31};
+  ClusterConfig cfg;
+  cfg.initialInstances = pcfg.shards;
+  InstanceManager mgr{sim, pcfg.dataSpec, cfg};
+  for (std::uint64_t id = 1; id <= 24; ++id) {
+    const auto shard = static_cast<std::uint32_t>((id - 1) % 4);
+    RelayInstance* inst = mgr.joinUser(id, regions::usEast());
+    ASSERT_NE(inst, nullptr);
+    ASSERT_EQ(inst->id(), shard) << "user " << id;
+  }
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    for (const RelayUserRecord& rec : pdes.shardRoom(s).exportSnapshot().users) {
+      ASSERT_TRUE(rec.poseKnown);
+      mgr.instance(s)->room().updatePose(rec.id, rec.pose);
+    }
+  }
+
+  // Drain shard 3 on both runtimes; every shard holds 6 users, so both
+  // control planes pick shard 0 (least loaded, lowest id).
+  const TimePoint drainAt = TimePoint::epoch() + Duration::millis(200);
+  pdes.scheduleDrain(3, drainAt);
+  const PartitionedClusterStats stats =
+      pdes.run(Duration::millis(400), Duration::seconds(1));
+  ASSERT_EQ(stats.migrations, 1u);
+  ASSERT_EQ(stats.migratedUsers, 6u);
+  std::size_t moved = 0;
+  sim.schedule(drainAt, [&] { moved = mgr.drain(3); });
+  sim.runFor(Duration::millis(400));
+  ASSERT_EQ(moved, 6u);
+  EXPECT_EQ(mgr.instance(3)->state(), InstanceState::Stopped);
+  EXPECT_EQ(mgr.instance(3)->userCount(), 0u);
+  EXPECT_EQ(pdes.shardRoom(3).userCount(), 0u);
+
+  const RelayRoomSnapshot want = pdes.shardRoom(0).exportSnapshot();
+  const RelayRoomSnapshot got = mgr.instance(0)->room().exportSnapshot();
+  ASSERT_EQ(got.users.size(), 12u);
+  ASSERT_EQ(got.users.size(), want.users.size());
+  for (std::size_t i = 0; i < want.users.size(); ++i) {
+    const RelayUserRecord& a = got.users[i];
+    const RelayUserRecord& b = want.users[i];
+    EXPECT_EQ(a.id, b.id) << i;
+    EXPECT_EQ(a.pose.x, b.pose.x) << a.id;
+    EXPECT_EQ(a.pose.y, b.pose.y) << a.id;
+    EXPECT_EQ(a.pose.yawDeg, b.pose.yawDeg) << a.id;
+    EXPECT_EQ(a.poseKnown, b.poseKnown) << a.id;
+    EXPECT_EQ(a.prevPose.x, b.prevPose.x) << a.id;
+    EXPECT_EQ(a.prevPose.y, b.prevPose.y) << a.id;
+    EXPECT_EQ(a.prevPose.yawDeg, b.prevPose.yawDeg) << a.id;
+    EXPECT_EQ(a.poseAt, b.poseAt) << a.id;
+    EXPECT_EQ(a.prevPoseAt, b.prevPoseAt) << a.id;
+    EXPECT_EQ(a.lastActivity, b.lastActivity) << a.id;
+    EXPECT_EQ(a.poseSeq, b.poseSeq) << a.id;
+    EXPECT_EQ(a.flowNextSame, b.flowNextSame) << a.id;
+    EXPECT_EQ(a.flowNextCross, b.flowNextCross) << a.id;
+  }
 }
 
 // ------------------------------------------------------------- determinism

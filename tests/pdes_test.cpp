@@ -534,6 +534,58 @@ ClusterRunResult runSmallCluster(std::uint64_t seed, unsigned threads) {
   return out;
 }
 
+/// Constructing a cluster from `cfg` must throw std::invalid_argument.
+void expectRejected(const cluster::PartitionedClusterConfig& cfg) {
+  EXPECT_THROW(cluster::PartitionedCluster{cfg}, std::invalid_argument);
+}
+
+TEST(PartitionedConfigTest, RejectsNoShards) {
+  cluster::PartitionedClusterConfig cfg = smallClusterConfig(1, 1);
+  cfg.shards = 0;
+  expectRejected(cfg);
+}
+
+TEST(PartitionedConfigTest, RejectsNegativeUsers) {
+  cluster::PartitionedClusterConfig cfg = smallClusterConfig(1, 1);
+  cfg.users = -1;
+  expectRejected(cfg);
+}
+
+TEST(PartitionedConfigTest, RejectsNonPositiveUpdateRate) {
+  cluster::PartitionedClusterConfig cfg = smallClusterConfig(1, 1);
+  cfg.updateRateHz = 0.0;
+  expectRejected(cfg);
+  cfg.updateRateHz = std::nan("");
+  expectRejected(cfg);
+}
+
+TEST(PartitionedConfigTest, RejectsNegativeLatticeSpacing) {
+  cluster::PartitionedClusterConfig cfg = smallClusterConfig(1, 1);
+  cfg.latticeSpacingM = -1.0;
+  expectRejected(cfg);
+}
+
+TEST(PartitionedConfigTest, RejectsNegativeGhostRadius) {
+  cluster::PartitionedClusterConfig cfg = smallClusterConfig(1, 1);
+  cfg.ghostRadiusM = -1.0;
+  expectRejected(cfg);
+}
+
+TEST(PartitionedConfigTest, RejectsHubTopology) {
+  cluster::PartitionedClusterConfig cfg = smallClusterConfig(1, 1);
+  cfg.directShardLinks = false;
+  expectRejected(cfg);
+}
+
+TEST(PartitionedConfigTest, AcceptsBoundaryValues) {
+  cluster::PartitionedClusterConfig cfg = smallClusterConfig(1, 1);
+  cfg.users = 0;
+  cfg.shards = 1;
+  cfg.latticeSpacingM = 0.0;
+  cfg.ghostRadiusM = 0.0;
+  EXPECT_NO_THROW(cluster::PartitionedCluster{cfg});
+}
+
 TEST(PdesCluster, DigestInvariantAcrossThreadsWithMigration) {
   const ClusterRunResult base = runSmallCluster(1234, 1);
   ASSERT_NE(base.fp.digest, 0u);
@@ -671,55 +723,35 @@ TEST(PdesCluster, CappedPlacementMatchesLeastLoadedScan) {
 
 TEST(PdesCluster, DirectLinkMigrationTakesTwoHops) {
   // Migration-only regime: the pacing period dwarfs the measurement window,
-  // so the engine's message ledger contains exactly the migration protocol —
-  // drain order + snapshot hops — and the hop count is pinned precisely.
-  auto runMigrationOnly = [](bool direct) {
-    cluster::PartitionedClusterConfig cfg = smallClusterConfig(777, 1);
-    cfg.users = 24;
-    cfg.shards = 4;
-    cfg.updateRateHz = 0.01;  // first pacing tick far beyond the window
-    cfg.directShardLinks = direct;
-    cluster::PartitionedCluster run{cfg};
-    run.scheduleDrain(3, TimePoint::epoch() + Duration::millis(200));
-    return run.run(Duration::millis(400), Duration::seconds(1));
-  };
-
-  const cluster::PartitionedClusterStats direct = runMigrationOnly(true);
-  EXPECT_EQ(direct.migrations, 1u);
-  EXPECT_EQ(direct.migratedUsers, 6u);
-  EXPECT_EQ(direct.migrationHops, 2u);
+  // so the engine's message ledger contains exactly the migration step —
+  // drain order + snapshot — and the hop count is pinned precisely.
+  cluster::PartitionedClusterConfig cfg = smallClusterConfig(777, 1);
+  cfg.users = 24;
+  cfg.shards = 4;
+  cfg.updateRateHz = 0.01;  // first pacing tick far beyond the window
+  cluster::PartitionedCluster run{cfg};
+  run.scheduleDrain(3, TimePoint::epoch() + Duration::millis(200));
+  const cluster::PartitionedClusterStats stats =
+      run.run(Duration::millis(400), Duration::seconds(1));
+  EXPECT_EQ(stats.migrations, 1u);
+  EXPECT_EQ(stats.migratedUsers, 6u);
+  EXPECT_EQ(stats.migrationHops, 2u);
   // Order (control -> source) + snapshot (source -> target): two messages.
-  EXPECT_EQ(direct.engine.messagesDelivered, 2u);
-
-  const cluster::PartitionedClusterStats hub = runMigrationOnly(false);
-  EXPECT_EQ(hub.migrations, 1u);
-  EXPECT_EQ(hub.migratedUsers, direct.migratedUsers);
-  EXPECT_EQ(hub.migrationHops, 3u);
-  // Order + export (source -> control) + forward (control -> target).
-  EXPECT_EQ(hub.engine.messagesDelivered, 3u);
+  EXPECT_EQ(stats.engine.messagesDelivered, 2u);
 }
 
 TEST(PdesCluster, TwoHopMigrationZeroLossUnderTraffic) {
-  // The exactly-once regression for the two-hop path: live update traffic
-  // during the drain, direct vs hub topology, both ledgers must balance and
-  // both must move the same room.
-  auto runWith = [](bool direct) {
-    cluster::PartitionedClusterConfig cfg = smallClusterConfig(4321, 1);
-    cfg.directShardLinks = direct;
-    cluster::PartitionedCluster run{cfg};
-    run.scheduleDrain(5, TimePoint::epoch() + Duration::millis(250));
-    return run.run(Duration::millis(500), Duration::seconds(1));
-  };
-  const cluster::PartitionedClusterStats direct = runWith(true);
-  const cluster::PartitionedClusterStats hub = runWith(false);
-  for (const auto* s : {&direct, &hub}) {
-    EXPECT_GT(s->broadcasts, 0u);
-    EXPECT_EQ(s->expectedDeliveries, s->delivered);
-    EXPECT_EQ(s->migrations, 1u);
-    EXPECT_EQ(s->migratedUsers, 15u);
-  }
-  EXPECT_EQ(direct.migrationHops, 2u);
-  EXPECT_EQ(hub.migrationHops, 3u);
+  // The exactly-once regression for the two-hop step: live update traffic
+  // during the drain, and the delivery ledger must balance.
+  cluster::PartitionedCluster run{smallClusterConfig(4321, 1)};
+  run.scheduleDrain(5, TimePoint::epoch() + Duration::millis(250));
+  const cluster::PartitionedClusterStats stats =
+      run.run(Duration::millis(500), Duration::seconds(1));
+  EXPECT_GT(stats.broadcasts, 0u);
+  EXPECT_EQ(stats.expectedDeliveries, stats.delivered);
+  EXPECT_EQ(stats.migrations, 1u);
+  EXPECT_EQ(stats.migratedUsers, 15u);
+  EXPECT_EQ(stats.migrationHops, 2u);
 }
 
 TEST(PdesCluster, AdaptiveWindowsMatchUncoalescedDigestAcrossThreads) {
