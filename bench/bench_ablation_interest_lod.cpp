@@ -19,7 +19,14 @@ struct LodPoint {
 
 LodPoint runPoint(int users, bool lod, std::uint64_t seed) {
   PlatformSpec spec = platforms::worlds();
-  spec.data.interestLod = lod;
+  if (lod) {
+    // Distance bands only, no cull: full rate to 2 m, half to 5 m, 1/4 beyond.
+    spec.data.interestGrid = true;
+    spec.data.interestRadiusM = 0.0;
+    spec.data.interestFullRadiusM = 2.0;
+    spec.data.interestHalfRadiusM = 5.0;
+    spec.data.interestFarKeepEvery = 4;
+  }
 
   Testbed bed{seed};
   bed.deploy(spec);
@@ -28,7 +35,7 @@ LodPoint runPoint(int users, bool lod, std::uint64_t seed) {
     cfg.wander = false;
     bed.addUser(cfg);
   }
-  // Spread the crowd: a close ring (inside nearRadius) plus a far ring.
+  // Spread the crowd: a close ring (inside the full-rate band) plus a far ring.
   auto& watcher = bed.user(0);
   watcher.client->motion().setPose(Pose{0, 0, 0});
   for (int i = 1; i < users; ++i) {

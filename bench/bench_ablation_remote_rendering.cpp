@@ -74,10 +74,12 @@ int main() {
 
   std::printf("--- shipping architecture (Worlds relay) ---\n");
   TablePrinter relayTable{{"users", "down Mbps", "FPS", "CPU %"}};
+  std::vector<SweepCell> cells;
   for (const int n : {2, 5, 10, 15}) {
-    const SweepPoint p = runUsersSweepPoint(platforms::worlds(), n, seeds,
-                                            Duration::seconds(20));
-    relayTable.addRow({std::to_string(n), fmt(p.downMbps, 2), fmt(p.fps, 1),
+    cells.push_back({platforms::worlds(), n, seeds, Duration::seconds(20)});
+  }
+  for (const SweepPoint& p : runUsersSweepCells(cells)) {
+    relayTable.addRow({std::to_string(p.users), fmt(p.downMbps, 2), fmt(p.fps, 1),
                        fmt(p.cpuPct, 0)});
   }
   relayTable.print(std::cout);

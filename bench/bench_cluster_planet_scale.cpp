@@ -67,14 +67,6 @@ using namespace msim::cluster;
 
 namespace {
 
-int envInt(const char* name, int fallback) {
-  if (const char* env = std::getenv(name)) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return fallback;
-}
-
 /// The planet workload every mode runs: `users` over `shards` partitions,
 /// each resident sending one avatar pose update per tick.
 PartitionedClusterConfig planetConfig(std::uint64_t seed, int users,
@@ -106,12 +98,6 @@ std::uint64_t fnv1a(const std::string& s) {
     h *= 1099511628211ull;
   }
   return h;
-}
-
-std::string fmtD(double v, int prec) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", prec, v);
-  return buf;
 }
 
 // ---- default mode: seed sweep ---------------------------------------------
@@ -215,12 +201,12 @@ int runSeedSweepMode(int users, int instances) {
     downMean += runs[i].perUserDownMbps;
     table.addRow({std::to_string(i), std::to_string(st.broadcasts),
                   std::to_string(st.delivered), std::to_string(lost),
-                  std::to_string(st.migratedUsers), fmtD(st.maxUtilization, 3),
-                  fmtD(runs[i].perUserDownMbps, 3)});
+                  std::to_string(st.migratedUsers), fmt(st.maxUtilization, 3),
+                  fmt(runs[i].perUserDownMbps, 3)});
     report += std::to_string(st.broadcasts) + "," +
               std::to_string(st.delivered) + "," + std::to_string(lost) + "," +
               std::to_string(st.migratedUsers) + "," +
-              fmtD(st.maxUtilization, 6) + "," +
+              fmt(st.maxUtilization, 6) + "," +
               std::to_string(runs[i].digest) + ";";
     for (const std::size_t u : st.usersPerShard) report += std::to_string(u) + " ";
     for (const std::uint64_t f : st.forwardsPerShard) {
@@ -343,7 +329,7 @@ SweepRow runSweepRow(const WorkerSweep& sweep, unsigned threads) {
 }
 
 /// A per-row peak for printing: "n/a" when the row's reset failed.
-std::string fmtPeak(double mb) { return mb < 0.0 ? "n/a" : fmtD(mb, 0); }
+std::string fmtPeak(double mb) { return mb < 0.0 ? "n/a" : fmt(mb, 0); }
 
 double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
@@ -429,11 +415,11 @@ int runWorkerSweep(const WorkerSweep& sweep) {
                       "coalesced", "peak RSS MB", "digest"}};
   for (const SweepSummary& r : rows) {
     const double perSec = eventsPerSec(r);
-    table.addRow({std::to_string(r.threads), fmtD(r.wallMedian, 3),
-                  fmtD(r.wallMin, 3) + "-" + fmtD(r.wallMax, 3),
-                  fmtD(r.setupMedian, 3), fmtD(speedup(r), 2),
-                  fmtD(perSec / 1e6, 3) + "M",
-                  fmtD(perSec / 1e6 / r.threads, 3) + "M",
+    table.addRow({std::to_string(r.threads), fmt(r.wallMedian, 3),
+                  fmt(r.wallMin, 3) + "-" + fmt(r.wallMax, 3),
+                  fmt(r.setupMedian, 3), fmt(speedup(r), 2),
+                  fmt(perSec / 1e6, 3) + "M",
+                  fmt(perSec / 1e6 / r.threads, 3) + "M",
                   std::to_string(r.rounds), std::to_string(r.coalescedWindows),
                   fmtPeak(r.peakRssMb), digestHex(r.digest)});
   }
@@ -489,7 +475,7 @@ int runWorkerSweep(const WorkerSweep& sweep) {
   json += "    \"users\": " + std::to_string(users) + ",\n";
   json += "    \"shards\": " + std::to_string(shards) + ",\n";
   json += "    \"repetitions\": " + std::to_string(sweep.repetitions) + ",\n";
-  json += "    \"measure_s\": " + fmtD(sweep.measure.toSeconds(), 1) +
+  json += "    \"measure_s\": " + fmt(sweep.measure.toSeconds(), 1) +
           "\n  },\n";
   json += "  \"benchmarks\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -497,17 +483,17 @@ int runWorkerSweep(const WorkerSweep& sweep) {
     const double perSec = eventsPerSec(r);
     json += "    {\"name\": \"" + sweep.jsonName + "/threads:" +
             std::to_string(r.threads) + "\", \"real_time\": " +
-            fmtD(r.wallMedian, 6) + ", \"time_unit\": \"s\", " +
-            "\"real_time_min\": " + fmtD(r.wallMin, 6) + ", " +
-            "\"real_time_max\": " + fmtD(r.wallMax, 6) + ", " +
-            "\"setup_s\": " + fmtD(r.setupMedian, 6) + ", " +
-            "\"items_per_second\": " + fmtD(perSec, 1) + ", " +
-            "\"events_per_second_per_core\": " + fmtD(perSec / r.threads, 1) +
-            ", \"speedup\": " + fmtD(speedup(r), 3) +
+            fmt(r.wallMedian, 6) + ", \"time_unit\": \"s\", " +
+            "\"real_time_min\": " + fmt(r.wallMin, 6) + ", " +
+            "\"real_time_max\": " + fmt(r.wallMax, 6) + ", " +
+            "\"setup_s\": " + fmt(r.setupMedian, 6) + ", " +
+            "\"items_per_second\": " + fmt(perSec, 1) + ", " +
+            "\"events_per_second_per_core\": " + fmt(perSec / r.threads, 1) +
+            ", \"speedup\": " + fmt(speedup(r), 3) +
             ", \"rounds\": " + std::to_string(r.rounds) +
             ", \"coalesced_windows\": " + std::to_string(r.coalescedWindows) +
             ", \"peak_rss_mb\": " +
-            (r.peakRssMb < 0.0 ? std::string{"null"} : fmtD(r.peakRssMb, 1)) +
+            (r.peakRssMb < 0.0 ? std::string{"null"} : fmt(r.peakRssMb, 1)) +
             ", \"digest\": \"" + digestHex(r.digest) + "\"}";
     json += i + 1 < rows.size() ? ",\n" : "\n";
   }
@@ -541,8 +527,8 @@ int main(int argc, char** argv) {
         "direct links + adaptive windows + AOI lattice; digest must be "
         "byte-identical across {1,2,8} workers with zero lost deliveries";
     m.jsonName = "BM_ClusterPdesMillion";
-    m.cfg = planetConfig(seed, envInt("MSIM_CLUSTER_USERS", 1000000),
-                         envInt("MSIM_CLUSTER_INSTANCES", 64));
+    m.cfg = planetConfig(seed, bench::envKnob("MSIM_CLUSTER_USERS", 1000000),
+                         bench::envKnob("MSIM_CLUSTER_INSTANCES", 64));
     // ~2 Hz: the decimated cadence interest management leaves for the bulk
     // of a huge room (full-rate neighbours are the AOI's job, not the
     // pacer's).
@@ -559,8 +545,8 @@ int main(int argc, char** argv) {
     m.measure = bench::measureWindow(1.0);
     return runWorkerSweep(m);
   }
-  const int users = envInt("MSIM_CLUSTER_USERS", 10000);
-  const int instances = envInt("MSIM_CLUSTER_INSTANCES", 32);
+  const int users = bench::envKnob("MSIM_CLUSTER_USERS", 10000);
+  const int instances = bench::envKnob("MSIM_CLUSTER_INSTANCES", 32);
   if (sweep) {
     WorkerSweep t;
     t.title = "Planet scale, PDES threads sweep";

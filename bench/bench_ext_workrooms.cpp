@@ -18,12 +18,14 @@ int main() {
   TablePrinter table{{"users", "down Mbps (±CI)", "FPS", "CPU %"}};
   std::vector<double> users;
   std::vector<double> tput;
+  std::vector<SweepCell> cells;
   for (const int n : {2, 4, 8, 12, 16}) {
-    const SweepPoint p = runUsersSweepPoint(platforms::workrooms(), n, seeds,
-                                            Duration::seconds(20));
-    users.push_back(n);
+    cells.push_back({platforms::workrooms(), n, seeds, Duration::seconds(20)});
+  }
+  for (const SweepPoint& p : runUsersSweepCells(cells)) {
+    users.push_back(p.users);
     tput.push_back(p.downMbps);
-    table.addRow({std::to_string(n),
+    table.addRow({std::to_string(p.users),
                   fmt(p.downMbps, 3) + " ±" + fmt(p.downMbpsCi, 3),
                   fmt(p.fps, 1), fmt(p.cpuPct, 0)});
   }

@@ -18,13 +18,14 @@ int main() {
   double fps28 = 0;
   std::vector<double> users;
   std::vector<double> tput;
-  for (const int n : {15, 20, 25, 28}) {
-    const SweepPoint p = runUsersSweepPoint(spec, n, seeds, window);
-    if (n == 15) fps15 = p.fps;
-    if (n == 28) fps28 = p.fps;
-    users.push_back(n);
+  std::vector<SweepCell> cells;
+  for (const int n : {15, 20, 25, 28}) cells.push_back({spec, n, seeds, window});
+  for (const SweepPoint& p : runUsersSweepCells(cells)) {
+    if (p.users == 15) fps15 = p.fps;
+    if (p.users == 28) fps28 = p.fps;
+    users.push_back(p.users);
     tput.push_back(p.downMbps);
-    table.addRow({std::to_string(n),
+    table.addRow({std::to_string(p.users),
                   fmt(p.downMbps, 2) + " ±" + fmt(p.downMbpsCi, 2),
                   fmt(p.fps, 1) + " ±" + fmt(p.fpsCi, 1)});
   }

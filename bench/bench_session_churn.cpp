@@ -43,25 +43,11 @@ using namespace msim::cluster;
 
 namespace {
 
-int envInt(const char* name, int fallback) {
-  if (const char* env = std::getenv(name)) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return fallback;
-}
-
-std::string fmtD(double v, int prec) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", prec, v);
-  return buf;
-}
-
 ChurnWorkloadConfig baseConfig() {
   ChurnWorkloadConfig cfg;
-  cfg.sessions = envInt("MSIM_CHURN_SESSIONS", 1000);
-  cfg.shards = envInt("MSIM_CHURN_SHARDS", 8);
-  cfg.channels = envInt("MSIM_CHURN_CHANNELS", 16);
+  cfg.sessions = bench::envKnob("MSIM_CHURN_SESSIONS", 1000);
+  cfg.shards = bench::envKnob("MSIM_CHURN_SHARDS", 8);
+  cfg.channels = bench::envKnob("MSIM_CHURN_CHANNELS", 16);
   cfg.connectWindow = Duration::seconds(2);
   cfg.publishStart = Duration::seconds(5);
   cfg.publishEvery = Duration::millis(250);
@@ -167,7 +153,7 @@ int main() {
                   std::to_string(r.recovered), std::to_string(r.lost),
                   std::to_string(r.duplicates), std::to_string(r.gaps),
                   std::to_string(r.fullRejoins), std::to_string(r.peakQueue),
-                  fmtD(r.peakInflation, 1)});
+                  fmt(r.peakInflation, 1)});
   }
   table.print(std::cout);
 

@@ -9,8 +9,11 @@
 //                  averaged "more than 20" — set 20+ for publication runs)
 //   MSIM_MEASURE_S measurement window seconds for sweeps (default 30)
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -20,20 +23,30 @@
 
 namespace msim::bench {
 
-inline int seedCount(int fallback = 5) {
-  if (const char* env = std::getenv("MSIM_SEEDS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
+/// Environment variable `name` read as a T, or `fallback` when unset. A set
+/// value that is not a positive T ("abc", "0", "-3", "3x", "", "2.5" for a
+/// count) prints a message naming the variable and exits with status 2.
+template <typename T>
+T envKnob(const char* name, T fallback) {
+  const char* text = std::getenv(name);
+  if (text == nullptr) return fallback;
+  const char* end = text + std::strlen(text);
+  T v{};
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec == std::errc{} && ptr == end && v > 0 &&
+      std::isfinite(static_cast<double>(v))) {
+    return v;
   }
-  return fallback;
+  std::fprintf(stderr, "%s must be a positive number, got '%s'\n", name, text);
+  std::exit(2);
+}
+
+inline int seedCount(int fallback = 5) {
+  return envKnob("MSIM_SEEDS", fallback);
 }
 
 inline Duration measureWindow(double fallbackSec = 30.0) {
-  if (const char* env = std::getenv("MSIM_MEASURE_S")) {
-    const double v = std::atof(env);
-    if (v > 0) return Duration::seconds(v);
-  }
-  return Duration::seconds(fallbackSec);
+  return Duration::seconds(envKnob("MSIM_MEASURE_S", fallbackSec));
 }
 
 inline void header(const std::string& title, const std::string& paperRef) {

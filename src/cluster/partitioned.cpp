@@ -18,6 +18,10 @@ namespace {
 // low enough that adding a lookahead cannot overflow.
 constexpr std::int64_t kInfNs = std::numeric_limits<std::int64_t>::max() / 4;
 
+/// Floor on control-link lookahead (control-plane RPC turnaround); the geo
+/// trunk bound is used when larger.
+constexpr Duration kControlLookahead = Duration::millis(25);
+
 /// Rejects configs the cluster cannot run (see the constructor's contract)
 /// and fills in the default regions.
 PartitionedClusterConfig validated(PartitionedClusterConfig cfg) {
@@ -41,12 +45,9 @@ PartitionedClusterConfig validated(PartitionedClusterConfig cfg) {
 }
 
 pdes::EngineConfig engineConfig(const PartitionedClusterConfig& cfg) {
-  pdes::EngineConfig ec;
-  ec.threads = cfg.threads;
-  ec.audit = cfg.audit;
-  ec.recordTrail = cfg.recordTrail;
-  ec.adaptiveWindows = cfg.adaptiveWindows;
-  return ec;
+  return {.threads = cfg.threads,
+          .audit = true,
+          .adaptiveWindows = cfg.adaptiveWindows};
 }
 
 }  // namespace
@@ -69,8 +70,8 @@ PartitionedCluster::PartitionedCluster(PartitionedClusterConfig cfg)
   for (std::uint32_t s = 0; s < shardCount; ++s) {
     Duration lookahead =
         InternetFabric::trunkLookahead(controlRegion, regionOf(s));
-    if (lookahead.toNanos() < cfg_.controlLookahead.toNanos()) {
-      lookahead = cfg_.controlLookahead;
+    if (lookahead.toNanos() < kControlLookahead.toNanos()) {
+      lookahead = kControlLookahead;
     }
     engine_.link(0, partitionOf(s), lookahead);
     engine_.link(partitionOf(s), 0, lookahead);

@@ -77,9 +77,6 @@ struct PartitionedClusterConfig {
   /// Engine workers: 0 leases from the process ThreadBudget (honors
   /// MSIM_THREADS), > 0 pins the pool size. Results identical either way.
   unsigned threads{0};
-  /// Floor on control-link lookahead (control-plane RPC turnaround); the
-  /// geo trunk bound is used when larger.
-  Duration controlLookahead = Duration::millis(25);
   /// The direct shard <-> shard mesh is the only topology: migration
   /// snapshots and interest-scoped ghosts ride it. Must stay true — the
   /// constructor throws std::invalid_argument when it is false.
@@ -99,8 +96,6 @@ struct PartitionedClusterConfig {
   /// least two shards.
   bool interestForwarding{false};
   double ghostRadiusM{25.0};
-  bool audit{true};
-  bool recordTrail{false};
 };
 
 struct PartitionedClusterStats {

@@ -210,77 +210,106 @@ JoinTimeline runJoinTimeline(const PlatformSpec& spec, Fig6Variant variant,
 
 // ----------------------------------------------------------------- Figs. 7-9
 
-SweepPoint runUsersSweepPoint(const PlatformSpec& spec, int users, int seeds,
-                              Duration measureFor) {
+std::vector<SweepPoint> runUsersSweepCells(const std::vector<SweepCell>& cells) {
+  // One flat job list of every (cell, seed) run. Slots are cell-major in
+  // seed order; the pool takes the jobs longest-first, which shapes wall
+  // time only. A run simulates ~10 s of joins plus its window, and every
+  // client receives every other user's stream, so a simulated second costs
+  // about users squared.
+  struct Job { const SweepCell* cell; std::uint64_t seed; std::size_t slot; };
+  std::vector<Job> jobs;
+  for (const SweepCell& cell : cells) {
+    for (const std::uint64_t seed : defaultSeeds(cell.seeds)) {
+      jobs.push_back(Job{&cell, seed, jobs.size()});
+    }
+  }
+  const auto cost = [](const Job& j) {
+    return (10.0 + j.cell->measureFor.toSeconds()) * j.cell->users * j.cell->users;
+  };
+  std::stable_sort(jobs.begin(), jobs.end(),
+                   [&](const Job& a, const Job& b) { return cost(a) > cost(b); });
+
   struct RunResult {
     double downMbps{0.0};
     double upMbps{0.0};
     MetricsSample avg;
     double batteryDropPct{0.0};
   };
-  const auto runs = runSeedSweep(
-      defaultSeeds(seeds), [&spec, users, measureFor](std::uint64_t seed) {
-        Testbed bed{seed};
-        bed.deploy(spec);
-        for (int i = 0; i < users; ++i) bed.addUser(chatUser());
-        arrangeUsersForSweep(bed);
+  std::vector<RunResult> runs(jobs.size());
+  runIndexedTasks(jobs.size(), [&](std::size_t job) {
+    const int users = jobs[job].cell->users;
+    const Duration measureFor = jobs[job].cell->measureFor;
+    Testbed bed{jobs[job].seed};
+    bed.deploy(jobs[job].cell->spec);
+    for (int i = 0; i < users; ++i) bed.addUser(chatUser());
+    arrangeUsersForSweep(bed);
 
-        bed.sim().schedule(TimePoint::epoch(), [&] {
-          for (auto& u : bed.users()) u->client->launch();
-        });
-        for (int i = 0; i < users; ++i) {
-          bed.sim().schedule(TimePoint::epoch() + Duration::seconds(2) +
-                                 Duration::millis(500.0 * i),
-                             [&, i] { bed.user(i).client->joinEvent(); });
-        }
-        const double settleSec = 2.0 + 0.5 * users + 8.0;
-        const TimePoint from = TimePoint::epoch() + Duration::seconds(settleSec);
-        const TimePoint to = from + measureFor;
-        bed.sim().runFor(Duration::seconds(settleSec) + measureFor);
+    bed.sim().schedule(TimePoint::epoch(), [&] {
+      for (auto& u : bed.users()) u->client->launch();
+    });
+    for (int i = 0; i < users; ++i) {
+      bed.sim().schedule(TimePoint::epoch() + Duration::seconds(2) +
+                             Duration::millis(500.0 * i),
+                         [&, i] { bed.user(i).client->joinEvent(); });
+    }
+    const double settleSec = 2.0 + 0.5 * users + 8.0;
+    const TimePoint from = TimePoint::epoch() + Duration::seconds(settleSec);
+    const TimePoint to = from + measureFor;
+    bed.sim().runFor(Duration::seconds(settleSec) + measureFor);
 
-        auto& u1 = bed.user(0);
-        const auto firstBin = static_cast<std::size_t>(settleSec);
-        const auto lastBin =
-            static_cast<std::size_t>(settleSec + measureFor.toSeconds()) - 1;
-        RunResult r;
-        r.downMbps =
-            u1.capture->meanRate(Channel::DataDown, firstBin, lastBin).toMbps();
-        r.upMbps =
-            u1.capture->meanRate(Channel::DataUp, firstBin, lastBin).toMbps();
-        r.avg = u1.headset->metrics().averageOver(from, to);
-        r.batteryDropPct = 100.0 - u1.headset->metrics().batteryPct();
-        return r;
-      });
-  RunningStats down;
-  RunningStats upStats;
-  RunningStats fps;
-  RunningStats cpu;
-  RunningStats gpu;
-  RunningStats mem;
-  RunningStats battery;
-  for (const RunResult& r : runs) {
-    down.add(r.downMbps);
-    upStats.add(r.upMbps);
-    fps.add(r.avg.fps);
-    cpu.add(r.avg.cpuUtilPct);
-    gpu.add(r.avg.gpuUtilPct);
-    mem.add(r.avg.memoryGB);
-    battery.add(r.batteryDropPct);
+    auto& u1 = bed.user(0);
+    const auto firstBin = static_cast<std::size_t>(settleSec);
+    const auto lastBin =
+        static_cast<std::size_t>(settleSec + measureFor.toSeconds()) - 1;
+    RunResult& r = runs[jobs[job].slot];
+    r.downMbps =
+        u1.capture->meanRate(Channel::DataDown, firstBin, lastBin).toMbps();
+    r.upMbps =
+        u1.capture->meanRate(Channel::DataUp, firstBin, lastBin).toMbps();
+    r.avg = u1.headset->metrics().averageOver(from, to);
+    r.batteryDropPct = 100.0 - u1.headset->metrics().batteryPct();
+  });
+
+  std::vector<SweepPoint> points;
+  points.reserve(cells.size());
+  auto run = runs.begin();
+  for (const SweepCell& cell : cells) {
+    RunningStats down;
+    RunningStats upStats;
+    RunningStats fps;
+    RunningStats cpu;
+    RunningStats gpu;
+    RunningStats mem;
+    RunningStats battery;
+    for (int s = 0; s < cell.seeds; ++s, ++run) {
+      down.add(run->downMbps);
+      upStats.add(run->upMbps);
+      fps.add(run->avg.fps);
+      cpu.add(run->avg.cpuUtilPct);
+      gpu.add(run->avg.gpuUtilPct);
+      mem.add(run->avg.memoryGB);
+      battery.add(run->batteryDropPct);
+    }
+    SweepPoint& p = points.emplace_back();
+    p.users = cell.users;
+    p.downMbps = down.mean();
+    p.downMbpsCi = down.ci95HalfWidth();
+    p.upMbps = upStats.mean();
+    p.fps = fps.mean();
+    p.fpsCi = fps.ci95HalfWidth();
+    p.cpuPct = cpu.mean();
+    p.cpuCi = cpu.ci95HalfWidth();
+    p.gpuPct = gpu.mean();
+    p.gpuCi = gpu.ci95HalfWidth();
+    p.memGB = mem.mean();
+    p.batteryDropPct = battery.mean();
   }
-  SweepPoint p;
-  p.users = users;
-  p.downMbps = down.mean();
-  p.downMbpsCi = down.ci95HalfWidth();
-  p.upMbps = upStats.mean();
-  p.fps = fps.mean();
-  p.fpsCi = fps.ci95HalfWidth();
-  p.cpuPct = cpu.mean();
-  p.cpuCi = cpu.ci95HalfWidth();
-  p.gpuPct = gpu.mean();
-  p.gpuCi = gpu.ci95HalfWidth();
-  p.memGB = mem.mean();
-  p.batteryDropPct = battery.mean();
-  return p;
+  return points;
+}
+
+SweepPoint runUsersSweepPoint(const PlatformSpec& spec, int users, int seeds,
+                              Duration measureFor) {
+  return runUsersSweepCells({SweepCell{spec, users, seeds, measureFor}}).front();
 }
 
 // ------------------------------------------------------- Table 4 / Fig. 11

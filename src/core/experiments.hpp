@@ -86,6 +86,20 @@ struct SweepPoint {
 
 /// N users in one event (all visible to U1); metrics measured on U1 over
 /// `measureFor`, averaged over `seeds` runs.
+struct SweepCell {
+  PlatformSpec spec;
+  int users{0};
+  int seeds{20};
+  Duration measureFor = Duration::seconds(60);
+};
+
+/// Runs every seed of every cell as one job list on the seed-sweep pool,
+/// longest first, and reduces each cell in seed order: cell i's point is a
+/// one-cell call's, for any cell order or worker count.
+[[nodiscard]] std::vector<SweepPoint> runUsersSweepCells(
+    const std::vector<SweepCell>& cells);
+
+/// A one-cell runUsersSweepCells.
 [[nodiscard]] SweepPoint runUsersSweepPoint(const PlatformSpec& spec, int users,
                                             int seeds = 20,
                                             Duration measureFor = Duration::seconds(60));

@@ -29,18 +29,16 @@ namespace msim {
 /// historical `1000 + 7919 * run` progression used by the experiments).
 [[nodiscard]] std::vector<std::uint64_t> defaultSeeds(int count);
 
-namespace detail {
-/// Runs task(0..count-1), each exactly once, on up to `threads` workers
-/// (the calling thread is one of them). Serial when threads == 1. When
+/// Runs task(0..count-1), each exactly once, on a util/workerpool.hpp pool
+/// of up to `threads` workers (the calling thread is one of them). When
 /// threads == 0, extra workers are leased from the process-wide
-/// ThreadBudget (capped at seedSweepThreads()), so seed-level and
-/// partition-level parallelism compose without oversubscription — a nested
-/// PDES engine inside each run sees whatever the sweep left over. The first
-/// exception thrown by any task is rethrown after all workers finish.
+/// ThreadBudget, so seed-level and partition-level parallelism compose
+/// without oversubscription — a nested PDES engine inside each run sees
+/// whatever the sweep left over. Every task runs; then the exception of the
+/// lowest throwing index, if any, is rethrown.
 void runIndexedTasks(std::size_t count,
                      const std::function<void(std::size_t)>& task,
-                     unsigned threads);
-}  // namespace detail
+                     unsigned threads = 0);
 
 /// Runs `fn(seed)` for every seed — in parallel when `threads` (or the
 /// MSIM_THREADS default) allows — and returns the results in seed order.
@@ -53,7 +51,7 @@ auto runSeedSweep(const std::vector<std::uint64_t>& seeds, Fn&& fn,
     -> std::vector<decltype(fn(std::uint64_t{}))> {
   using Result = decltype(fn(std::uint64_t{}));
   std::vector<Result> results(seeds.size());
-  detail::runIndexedTasks(
+  runIndexedTasks(
       seeds.size(), [&](std::size_t i) { results[i] = fn(seeds[i]); },
       threads);
   return results;

@@ -1,21 +1,14 @@
 #include "pdes/pdes.hpp"
 
-// detlint:allow-file(thread-order) the pool below is barrier-structured scaffolding: workers only pick WHICH core runs a partition's window, window contents are fixed by the EOT bounds before any worker moves, and pdes_test pins digests byte-identical across worker counts
-
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
 #include <cstdio>
 #include <exception>
-#include <functional>
 #include <limits>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "util/hotpath.hpp"
-#include "util/threadbudget.hpp"
+#include "util/workerpool.hpp"
 
 namespace msim::pdes {
 
@@ -103,123 +96,6 @@ void Partition::promiseNoSendBefore(std::uint32_t dst, TimePoint earliest) {
 
 // ------------------------------------------------------------------- Engine
 
-namespace {
-
-// The worker pool behind run()'s rounds and forEachPartition(). It sizes
-// itself the one way both callers need: a pinned thread count, or a lease
-// on the process ThreadBudget, never more workers than partitions. Workers
-// park on a condition variable between jobs; each job they drain a shared
-// atomic partition index, so load-balancing is dynamic (which worker runs
-// which partition is scheduler-dependent) while results are not (every
-// partition's job is fixed before the pool is released). The mutex/condvar
-// pair is the barrier on both edges, and the index hand-out is an
-// acquire/release chain headed by the job's release store, so every write
-// made before a job happens-before any worker's read of it and every job's
-// writes happen-before forEach() returns — TSan-clean by construction.
-class Pool {
- public:
-  using Job = std::function<void(std::uint32_t)>;
-
-  Pool(unsigned pinned, std::uint32_t partitions)
-      : lease_{ThreadBudget::process(), pinned > 0 ? 0 : partitions - 1},
-        count_{partitions},
-        workers_{std::clamp(pinned > 0 ? pinned : lease_.workers(), 1u,
-                            partitions)},
-        errors_(partitions) {
-    threads_.reserve(workers_ - 1);
-    for (unsigned t = 1; t < workers_; ++t) {
-      threads_.emplace_back([this] { workerLoop(); });
-    }
-  }
-
-  ~Pool() {
-    {
-      const std::lock_guard<std::mutex> lock{mu_};
-      stop_ = true;
-    }
-    cv_.notify_all();
-    for (auto& t : threads_) t.join();
-  }
-
-  Pool(const Pool&) = delete;
-  Pool& operator=(const Pool&) = delete;
-
-  [[nodiscard]] unsigned workers() const { return workers_; }
-
-  /// Runs job(i) for every partition index i, across the pool plus the
-  /// calling thread, and returns once all are done: the exception the job
-  /// threw for the lowest index, or null when none threw.
-  std::exception_ptr forEach(const Job& job) {
-    {
-      const std::lock_guard<std::mutex> lock{mu_};
-      job_ = &job;
-      pending_ = count_;
-      ++generation_;
-      next_.store(0, std::memory_order_release);
-    }
-    cv_.notify_all();
-    drain();
-    {
-      std::unique_lock<std::mutex> lock{mu_};
-      doneCv_.wait(lock, [this] { return pending_ == 0; });
-    }
-    std::exception_ptr first;
-    for (std::exception_ptr& e : errors_) {
-      if (e && !first) first = e;
-      e = nullptr;
-    }
-    return first;
-  }
-
- private:
-  void drain() {
-    std::uint32_t done = 0;
-    for (;;) {
-      const std::uint32_t i = next_.fetch_add(1, std::memory_order_acquire);
-      if (i >= count_) break;
-      try {
-        (*job_)(i);
-      } catch (...) {
-        errors_[i] = std::current_exception();
-      }
-      ++done;
-    }
-    if (done == 0) return;
-    const std::lock_guard<std::mutex> lock{mu_};
-    pending_ -= done;
-    if (pending_ == 0) doneCv_.notify_one();
-  }
-
-  void workerLoop() {
-    std::uint64_t seen = 0;
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lock{mu_};
-        cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
-        if (stop_) return;
-        seen = generation_;
-      }
-      drain();
-    }
-  }
-
-  ThreadBudget::Lease lease_;
-  std::uint32_t count_;
-  unsigned workers_;
-  std::vector<std::exception_ptr> errors_;  // per partition, current job
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::condition_variable doneCv_;
-  const Job* job_{nullptr};
-  std::uint64_t generation_{0};
-  std::uint32_t pending_{0};
-  bool stop_{false};
-  std::atomic<std::uint32_t> next_{0};
-};
-
-}  // namespace
-
 Engine::Engine(std::uint32_t partitions, std::uint64_t seed, EngineConfig cfg)
     : cfg_{cfg} {
   if (partitions == 0) {
@@ -228,7 +104,7 @@ Engine::Engine(std::uint32_t partitions, std::uint64_t seed, EngineConfig cfg)
   partitions_.reserve(partitions);
   for (std::uint32_t i = 0; i < partitions; ++i) {
     partitions_.emplace_back(new Partition{*this, i, seed});
-    if (cfg_.audit) partitions_.back()->sim().enableAudit(cfg_.recordTrail);
+    if (cfg_.audit) partitions_.back()->sim().enableAudit();
   }
   lookaheadNs_.assign(static_cast<std::size_t>(partitions) * partitions, -1);
   promiseNs_.assign(static_cast<std::size_t>(partitions) * partitions, 0);
@@ -408,8 +284,8 @@ std::uint64_t Engine::computeBounds(std::int64_t limitNs) {
 RunReport Engine::run(TimePoint limit) {
   const std::int64_t limitNs = limit.toNanos();
   const std::uint32_t count = partitionCount();
-  Pool pool{cfg_.threads, count};
-  const Pool::Job runWindow = [this](std::uint32_t i) {
+  WorkerPool pool{cfg_.threads, count};
+  const WorkerPool::Job runWindow = [this](std::size_t i) {
     Partition& p = *partitions_[i];
     p.executed_ = p.sim().run(TimePoint::fromNanos(boundNs_[i]));
   };
@@ -473,12 +349,8 @@ RunReport Engine::run(TimePoint limit) {
 }
 
 void Engine::forEachPartition(const std::function<void(Partition&)>& fn) {
-  std::exception_ptr failure;
-  {
-    Pool pool{cfg_.threads, partitionCount()};
-    failure = pool.forEach([&](std::uint32_t i) { fn(*partitions_[i]); });
-  }  // every worker has joined
-  if (failure) std::rethrow_exception(failure);
+  WorkerPool::run(cfg_.threads, partitionCount(),
+                  [&](std::size_t i) { fn(*partitions_[i]); });
 }
 
 audit::RunFingerprint Engine::auditFingerprint() const {

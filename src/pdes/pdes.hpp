@@ -68,9 +68,10 @@
 // Worker sourcing: EngineConfig::threads > 0 pins the pool size (bench
 // sweeps use this); threads == 0 leases workers from the process-wide
 // ThreadBudget, so a PDES engine nested inside a seed sweep consumes only
-// what the sweep left over and MSIM_THREADS is honored end to end. The same
-// pool serves run()'s rounds and forEachPartition(), the construction-time
-// fan-out that lets a workload build each partition's state in parallel.
+// what the sweep left over and MSIM_THREADS is honored end to end. The seed
+// sweep's pool (util/workerpool.hpp) serves run()'s rounds and
+// forEachPartition(), the construction-time fan-out that lets a workload
+// build each partition's state in parallel.
 
 #include <cstdint>
 #include <functional>
@@ -146,8 +147,6 @@ struct EngineConfig {
   unsigned threads{0};
   /// Enable per-partition audit digests (audit/auditor.hpp).
   bool audit{false};
-  /// Keep per-event audit trails (divergence localization; costs memory).
-  bool recordTrail{false};
   /// Honor per-link send promises when computing window bounds (window
   /// coalescing). Promises are *enforced* either way; turning this off only
   /// makes the bound computation ignore them — the uncoalesced comparator

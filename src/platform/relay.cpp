@@ -13,11 +13,11 @@ namespace {
 /// Intra-site replica-to-replica forwarding cost (same DC, one hop).
 constexpr double kInterReplicaMs = 0.3;
 
-/// Compiles a DataSpec's culling knobs into one interest policy. The three
-/// historical configurations are all special cases of the same scan:
+/// Compiles a DataSpec's culling knobs into one interest policy. Every
+/// configuration is a special case of the same scan:
 ///  - measured platforms: no radius, one open band, maybe the angular wedge
 ///    (AltspaceVR §6.1) — i.e. all-to-all with a per-receiver predicate;
-///  - the §6.2 Donnybrook ablation: three legacy LoD bands, no radius;
+///  - the §6.2 Donnybrook ablation: the grid's three bands, no radius;
 ///  - the interest grid: bounded radius + full/half/trickle bands.
 interest::InterestParams interestParamsFor(const DataSpec& spec) {
   interest::InterestParams p;
@@ -28,11 +28,6 @@ interest::InterestParams interestParamsFor(const DataSpec& spec) {
     p.addBand(spec.interestFullRadiusM, 1);
     p.addBand(spec.interestHalfRadiusM, 2);
     p.addBand(-1.0, spec.interestFarKeepEvery);
-  } else if (spec.interestLod) {
-    p.clearBands();
-    p.addBand(spec.lodNearRadius, 1);
-    p.addBand(spec.lodFarRadius, 2);
-    p.addBand(-1.0, 4);
   }
   if (spec.viewportFilter) {
     p.angular = true;

@@ -71,19 +71,13 @@ struct DataSpec {
   /// receiver's *extrapolated* facing direction this far in the future, to
   /// compensate for delivery delay. Zero = filter on the last report.
   double viewportPredictionLeadMs{0.0};
-  /// Distance-based interest management (§6.2's Donnybrook-style fix):
-  /// decimate updates from far-away senders (full rate inside nearRadius,
-  /// 1/2 rate to farRadius, 1/4 beyond). Off on all shipping platforms —
-  /// exists for the ablation bench.
-  bool interestLod{false};
-  double lodNearRadius{2.0};
-  double lodFarRadius{5.0};
   /// Spatial interest grid (src/interest): pose updates fan out only to
   /// receivers within `interestRadiusM` of the sender, at distance-banded
   /// rates — full rate inside interestFullRadiusM, half rate to
   /// interestHalfRadiusM, one-in-interestFarKeepEvery beyond. Off on every
   /// measured platform (only AltspaceVR culls at all, and only by angle);
-  /// this is the scaling path for rooms far past the paper's 4 users.
+  /// this is the scaling path for rooms far past the paper's 4 users. With
+  /// no radius it is §6.2's Donnybrook-style LoD (bands only, no cull).
   bool interestGrid{false};
   double interestCellM{8.0};         // AOI cell edge (quantization step)
   double interestRadiusM{100.0};     // hard cull beyond this (<= 0: none)

@@ -185,18 +185,29 @@ TEST(ViewportPredictionTest, LeadAffectsFilterDecisions) {
   EXPECT_GT(room->forwardedBytes().toBytes(), before.toBytes());
 }
 
+/// §6.2 distance LoD as the ablation bench configures it: the interest
+/// grid's rate bands (full to 2 m, half to 5 m, 1/4 beyond) with no cull.
+DataSpec distanceLodSpec() {
+  DataSpec spec = platforms::worlds().data;
+  spec.interestGrid = true;
+  spec.interestRadiusM = 0.0;
+  spec.interestFullRadiusM = 2.0;
+  spec.interestHalfRadiusM = 5.0;
+  spec.interestFarKeepEvery = 4;
+  return spec;
+}
+
 TEST(InterestLodTest, FarSendersAreDecimated) {
   Simulator sim{3};
   Network net{sim};
   Node& node = net.addNode("relay");
   node.addAddress(Ipv4Address(100, 2, 1, 9));
-  DataSpec spec = platforms::worlds().data;
-  spec.interestLod = true;
+  DataSpec spec = distanceLodSpec();
   auto room = std::make_shared<RelayRoom>(sim, spec);
   auto server = RelayServer::makeUdp(node, 5055, room);
   room->join(1, *server);
   room->join(2, *server);
-  room->updatePose(1, Pose{10, 0, 180});  // far: beyond lodFarRadius (5 m)
+  room->updatePose(1, Pose{10, 0, 180});  // far: beyond the half-rate band (5 m)
   room->updatePose(2, Pose{0, 0, 0});
 
   for (std::uint64_t i = 1; i <= 40; ++i) {
@@ -219,13 +230,12 @@ TEST(InterestLodTest, NearSendersKeepFullRate) {
   Network net{sim};
   Node& node = net.addNode("relay");
   node.addAddress(Ipv4Address(100, 2, 1, 10));
-  DataSpec spec = platforms::worlds().data;
-  spec.interestLod = true;
+  DataSpec spec = distanceLodSpec();
   auto room = std::make_shared<RelayRoom>(sim, spec);
   auto server = RelayServer::makeUdp(node, 5055, room);
   room->join(1, *server);
   room->join(2, *server);
-  room->updatePose(1, Pose{1.0, 0, 180});  // inside nearRadius
+  room->updatePose(1, Pose{1.0, 0, 180});  // inside the full-rate band (2 m)
   room->updatePose(2, Pose{0, 0, 0});
   for (std::uint64_t i = 1; i <= 20; ++i) {
     Message m;

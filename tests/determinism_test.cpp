@@ -13,8 +13,10 @@
 #include <string_view>
 #include <vector>
 
+#include "core/experiments.hpp"
 #include "core/seedsweep.hpp"
 #include "core/testbed.hpp"
+#include "util/threadbudget.hpp"
 
 namespace msim {
 namespace {
@@ -152,6 +154,78 @@ TEST(SeedSweepTest, EmptySweepIsFine) {
   const auto out =
       runSeedSweep({}, [](std::uint64_t s) { return s; }, 8);
   EXPECT_TRUE(out.empty());
+  // The leased (threads == 0) path too: no workers, no jobs, no throw.
+  EXPECT_TRUE(runSeedSweep({}, [](std::uint64_t s) { return s; }).empty());
+  EXPECT_TRUE(runUsersSweepCells({}).empty());
+}
+
+TEST(SeedSweepTest, LowestIndexExceptionIsRethrown) {
+  // Two failing seeds: whichever worker finishes first, the report is the
+  // lower index's, at every worker count.
+  const auto seeds = defaultSeeds(8);
+  const auto boom = [&seeds](std::uint64_t s) -> int {
+    if (s == seeds[2]) throw std::runtime_error{"index 2"};
+    if (s == seeds[5]) throw std::runtime_error{"index 5"};
+    return 0;
+  };
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    try {
+      (void)runSeedSweep(seeds, boom, threads);
+      ADD_FAILURE() << "no exception at threads=" << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string{e.what()}, "index 2") << "threads=" << threads;
+    }
+  }
+}
+
+// A multi-cell call hands back, per cell, exactly the point a one-cell call
+// computes: the flat job list and its longest-first order change wall time
+// only, for any cell order and worker count. The runner leases its workers
+// from the process ThreadBudget, so holding every spare worker pins the
+// forward call to one; the reversed call gets the budget's capacity
+// (MSIM_THREADS, else the hardware concurrency — four on the CI runners).
+// Kept to 1-2 users and 1 s windows: the TSan job runs it too.
+TEST(SeedSweepCellsTest, MatchesOneCellCallsInAnyOrder) {
+  std::vector<SweepCell> cells;
+  for (const PlatformSpec& spec : {platforms::vrchat(), platforms::hubs()}) {
+    for (const int users : {1, 2}) {
+      cells.push_back({spec, users, 2, Duration::seconds(1)});
+    }
+  }
+  std::vector<SweepPoint> single;
+  for (const SweepCell& c : cells) {
+    single.push_back(runUsersSweepPoint(c.spec, c.users, c.seeds, c.measureFor));
+  }
+  std::vector<SweepPoint> forward;
+  {
+    ThreadBudget& budget = ThreadBudget::process();
+    const ThreadBudget::Lease hog{budget, budget.capacity()};
+    forward = runUsersSweepCells(cells);
+  }
+  const std::vector<SweepCell> reversed(cells.rbegin(), cells.rend());
+  const std::vector<SweepPoint> backward = runUsersSweepCells(reversed);
+
+  const auto expectSame = [](const SweepPoint& a, const SweepPoint& b) {
+    EXPECT_EQ(a.users, b.users);
+    EXPECT_EQ(a.downMbps, b.downMbps);
+    EXPECT_EQ(a.downMbpsCi, b.downMbpsCi);
+    EXPECT_EQ(a.upMbps, b.upMbps);
+    EXPECT_EQ(a.fps, b.fps);
+    EXPECT_EQ(a.fpsCi, b.fpsCi);
+    EXPECT_EQ(a.cpuPct, b.cpuPct);
+    EXPECT_EQ(a.cpuCi, b.cpuCi);
+    EXPECT_EQ(a.gpuPct, b.gpuPct);
+    EXPECT_EQ(a.gpuCi, b.gpuCi);
+    EXPECT_EQ(a.memGB, b.memGB);
+    EXPECT_EQ(a.batteryDropPct, b.batteryDropPct);
+  };
+  ASSERT_EQ(forward.size(), cells.size());
+  ASSERT_EQ(backward.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    SCOPED_TRACE("cell " + std::to_string(i));
+    expectSame(forward[i], single[i]);
+    expectSame(backward[cells.size() - 1 - i], single[i]);
+  }
 }
 
 }  // namespace
