@@ -14,6 +14,8 @@
 // whose engine leases workers from the process ThreadBudget. The report
 // (and the digest it prints, which folds every run's audit digest) is
 // byte-identical for any MSIM_THREADS, and stdout carries no host timings.
+// It exits nonzero if any delivery was lost or the mean per-user downlink
+// strays more than 1% from a single relay at one shard's occupancy.
 // Knobs:
 //   MSIM_CLUSTER_USERS      total users          (default 10000)
 //   MSIM_CLUSTER_INSTANCES  shard count          (default 32)
@@ -47,6 +49,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -239,7 +242,13 @@ int runSeedSweepMode(int users, int instances) {
       "scaling wall (§6) without changing what any single user experiences;\n"
       "a drained shard hands its room over live, losing nothing (§4.2's\n"
       "elastic serving tier, made explicit).\n");
-  return lostTotal == 0 ? 0 : 1;
+  // Each shard's user must see what a single relay's user sees.
+  const bool perInstanceHolds = std::abs(deltaPct) <= 1.0;
+  if (!perInstanceHolds) {
+    std::fprintf(stderr, "per-instance check failed: |%+.2f%%| > 1%%\n",
+                 deltaPct);
+  }
+  return lostTotal == 0 && perInstanceHolds ? 0 : 1;
 }
 
 // ---- worker sweeps (--threads-sweep, --million) ---------------------------

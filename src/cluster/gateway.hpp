@@ -77,8 +77,9 @@ class Gateway {
     return perInstance_;
   }
   /// Users currently assigned to a shard. Placement balances on this, not on
-  /// room occupancy: a networked cluster assigns every user at session setup,
-  /// before any of them has joined a room.
+  /// room occupancy alone: InstanceManager::suspendUser takes a session out
+  /// of its room but keeps its pin, so the shard still owes it a seat when
+  /// it reconnects.
   [[nodiscard]] std::uint32_t assignedCount(std::uint32_t instanceId) const {
     return instanceId < assigned_.size() ? assigned_[instanceId] : 0;
   }

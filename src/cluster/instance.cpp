@@ -83,14 +83,12 @@ RelayRoomSnapshot RelayInstance::evacuate() {
   return snap;
 }
 
-void RelayInstance::adopt(
-    const RelayRoomSnapshot& snap,
-    const std::function<RelayServer*(std::uint64_t)>& homeFor) {
+void RelayInstance::adopt(const RelayRoomSnapshot& snap) {
   // Pre-size for the merged population before the joins land: an import
   // can double a shard, and a mid-import rehash of every column is exactly
   // the setup cost the bulk path avoids.
   room_->reserveUsers(userCount() + snap.users.size());
-  room_->importSnapshot(snap, homeFor);
+  room_->importSnapshot(snap);
 }
 
 double RelayInstance::utilization() const {

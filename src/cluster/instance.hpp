@@ -89,11 +89,9 @@ class RelayInstance {
   /// batches already scheduled here captured their recipients at broadcast
   /// time, so in-flight deliveries still land after the leave.
   RelayRoomSnapshot evacuate();
-  /// Reserves room for the merged population, then imports `snap` (homed via
-  /// `homeFor` when given, detached otherwise; see
-  /// RelayRoom::importSnapshot).
-  void adopt(const RelayRoomSnapshot& snap,
-             const std::function<RelayServer*(std::uint64_t)>& homeFor = {});
+  /// Reserves room for the merged population, then imports `snap` detached
+  /// (see RelayRoom::importSnapshot).
+  void adopt(const RelayRoomSnapshot& snap);
 
   // ---- capacity model -----------------------------------------------------
   /// EWMA of the room's forward rate, forwards/s.
@@ -103,7 +101,7 @@ class RelayInstance {
   /// Current processing-delay inflation applied to the room (1 = healthy).
   [[nodiscard]] double queueInflation() const { return inflation_; }
 
-  // ---- delivery accounting (detached mode) --------------------------------
+  // ---- delivery accounting ------------------------------------------------
   using DeliverySink =
       std::function<void(std::uint32_t instanceId, std::uint64_t toUser,
                          const Message& m)>;
@@ -112,10 +110,6 @@ class RelayInstance {
   void setDeliverySink(DeliverySink sink) { sink_ = std::move(sink); }
   [[nodiscard]] std::uint64_t deliveredMessages() const { return deliveredMsgs_; }
   [[nodiscard]] ByteSize deliveredBytes() const { return deliveredBytes_; }
-
-  // ---- networked attachment (ClusterDeployment) ---------------------------
-  void setEndpoint(const Endpoint& ep) { endpoint_ = ep; }
-  [[nodiscard]] const Endpoint& endpoint() const { return endpoint_; }
 
  private:
   void sampleLoad();
@@ -126,7 +120,6 @@ class RelayInstance {
   ShardCapacitySpec capacity_;
   InstanceState state_{InstanceState::Starting};
   std::shared_ptr<RelayRoom> room_;
-  Endpoint endpoint_;
 
   double baseProvisioning_{1.0};
   double ewmaForwardRate_{0.0};

@@ -101,9 +101,7 @@ RelayInstance* InstanceManager::pickMigrationTarget(std::uint32_t sourceId) {
   return target;
 }
 
-std::size_t InstanceManager::drain(
-    std::uint32_t instanceId,
-    const std::function<RelayServer*(std::uint64_t)>& homeFor) {
+std::size_t InstanceManager::drain(std::uint32_t instanceId) {
   RelayInstance* source = instance(instanceId);
   if (source == nullptr || source->state() == InstanceState::Stopped) return 0;
   source->beginDrain();
@@ -118,7 +116,7 @@ std::size_t InstanceManager::drain(
   // the room's delivery hook, so in-flight updates still deliver.
   const RelayRoomSnapshot snap = source->evacuate();
   if (snap.users.empty()) return 0;
-  target->adopt(snap, homeFor);
+  target->adopt(snap);
   for (const RelayUserRecord& u : snap.users) {
     gateway_->reassign(u.id, target->id());
   }

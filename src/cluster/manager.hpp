@@ -103,11 +103,7 @@ class InstanceManager {
   /// route to the target; flow clocks and LoD counters move with the users,
   /// so nothing is lost or duplicated. Returns users moved (0 when there is
   /// no viable target — the shard then keeps serving until one appears).
-  /// When `homeFor` is given (networked clusters), migrated users stay homed
-  /// on their replica — the replica's room pointer is swapped by the caller —
-  /// instead of becoming detached in the target room.
-  std::size_t drain(std::uint32_t instanceId,
-                    const std::function<RelayServer*(std::uint64_t)>& homeFor = {});
+  std::size_t drain(std::uint32_t instanceId);
   /// Simulated shard failure: members are dropped with NO migration and the
   /// shard goes straight to Stopped. Gateway pins are deliberately left
   /// stale — reconnecting sessions hit placeReconnect's re-place path, which

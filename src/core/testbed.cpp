@@ -22,16 +22,6 @@ PlatformDeployment& Testbed::deploy(const PlatformSpec& spec,
   return *deployment_;
 }
 
-cluster::ClusterDeployment& Testbed::deployCluster(
-    const PlatformSpec& spec, const cluster::ClusterConfig& cfg,
-    std::vector<Region> serveRegions) {
-  auto deployment = std::make_unique<cluster::ClusterDeployment>(
-      sim_, net_, fabric_, spec, cfg, std::move(serveRegions));
-  cluster::ClusterDeployment& ref = *deployment;
-  deployment_ = std::move(deployment);
-  return ref;
-}
-
 TestUser& Testbed::addUser(const TestUserConfig& cfg) {
   const int index = nextUserIndex_++;
   auto user = std::make_unique<TestUser>();

@@ -8,9 +8,9 @@
 #include <memory>
 #include <vector>
 
-#include "cluster/deployment.hpp"
 #include "core/capture.hpp"
 #include "platform/client_app.hpp"
+#include "platform/deployment.hpp"
 
 namespace msim {
 
@@ -61,13 +61,6 @@ class Testbed {
   /// Deploys a platform's servers; must precede addUser().
   PlatformDeployment& deploy(const PlatformSpec& spec,
                              std::vector<Region> serveRegions = {});
-
-  /// Deploys a platform whose data tier is a sharded cluster behind a
-  /// gateway (src/cluster); clients added afterwards are steered by its
-  /// placement policy.
-  cluster::ClusterDeployment& deployCluster(const PlatformSpec& spec,
-                                            const cluster::ClusterConfig& cfg,
-                                            std::vector<Region> serveRegions = {});
 
   /// Creates a user (headset + AP + capture + platform client).
   TestUser& addUser(const TestUserConfig& cfg = {});

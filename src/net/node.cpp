@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace msim {
@@ -92,9 +94,27 @@ void NetDevice::notifyTaps(const Packet& p, TapDir dir) const {
 
 // --------------------------------------------------------------------- Link
 
+namespace {
+/// A zero rate would transmit instantly, a negative delay would deliver
+/// before the send, and a non-positive queue drops every packet sent while
+/// the link is busy.
+void checkLinkConfig(const LinkConfig& cfg) {
+  const auto reject = [](const char* what) {
+    throw std::invalid_argument(std::string{"LinkConfig: "} + what);
+  };
+  if (cfg.rate != DataRate::unlimited() && cfg.rate <= DataRate::zero()) {
+    reject("rate must be > 0 or DataRate::unlimited()");
+  }
+  if (cfg.delay < Duration::zero()) reject("delay must be >= 0");
+  if (cfg.queueLimit <= ByteSize::zero()) reject("queueLimit must be > 0");
+}
+}  // namespace
+
 std::pair<NetDevice&, NetDevice&> Link::connect(Node& a, Node& b,
                                                 const LinkConfig& aToB,
                                                 const LinkConfig& bToA) {
+  checkLinkConfig(aToB);
+  checkLinkConfig(bToA);
   NetDevice& devA = a.addDevice(a.name() + "->" + b.name());
   NetDevice& devB = b.addDevice(b.name() + "->" + a.name());
   devA.peer_ = &devB;

@@ -29,7 +29,9 @@ namespace msim {
 
 class Node;
 
-/// Per-direction link parameters.
+/// Per-direction link parameters. Link::connect rejects a config with
+/// std::invalid_argument unless rate > 0 (or DataRate::unlimited()),
+/// delay >= 0 and queueLimit > 0.
 struct LinkConfig {
   DataRate rate = DataRate::gbps(1);
   Duration delay = Duration::micros(50);

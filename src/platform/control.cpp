@@ -41,25 +41,6 @@ ControlService::ControlService(Node& node, const PlatformSpec& platform,
     resp.body = content.perJoinDownload;
     return resp;
   });
-
-  // Session tier: both answers are a token blob; the server-side state for
-  // it lives in SessionHub / TokenAuthority, this route only models the
-  // control-channel bytes and counts the load.
-  const ByteSize tokenBytes = platform.session.tokenBytes;
-  server_.route(controlpath::kSessionEstablish,
-                [this, tokenBytes](const HttpRequest&) {
-                  ++sessionEstablishes_;
-                  HttpResponse resp;
-                  resp.body = tokenBytes;
-                  return resp;
-                });
-  server_.route(controlpath::kSessionRefresh,
-                [this, tokenBytes](const HttpRequest&) {
-                  ++sessionRefreshes_;
-                  HttpResponse resp;
-                  resp.body = tokenBytes;
-                  return resp;
-                });
 }
 
 }  // namespace msim

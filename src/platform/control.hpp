@@ -20,11 +20,6 @@ inline constexpr const char* kClockSync = "/clocksync";
 inline constexpr const char* kContentInit = "/content/init";
 inline constexpr const char* kContentLaunch = "/content/launch";
 inline constexpr const char* kContentJoin = "/content/join";
-/// Session tier (src/session): token establish/refresh ride the same HTTPS
-/// control channel as everything else, so a reconnect storm is control-tier
-/// load before it is data-tier load.
-inline constexpr const char* kSessionEstablish = "/session/establish";
-inline constexpr const char* kSessionRefresh = "/session/refresh";
 }  // namespace controlpath
 
 /// One control-server instance bound to a node.
@@ -40,18 +35,9 @@ class ControlService {
   [[nodiscard]] std::uint64_t requestsServed() const {
     return server_.requestsServed();
   }
-  /// Session-tier request counters (the reconnect-storm control-plane load).
-  [[nodiscard]] std::uint64_t sessionEstablishes() const {
-    return sessionEstablishes_;
-  }
-  [[nodiscard]] std::uint64_t sessionRefreshes() const {
-    return sessionRefreshes_;
-  }
 
  private:
   HttpServer server_;
-  std::uint64_t sessionEstablishes_{0};
-  std::uint64_t sessionRefreshes_{0};
 };
 
 }  // namespace msim

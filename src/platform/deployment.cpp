@@ -24,17 +24,6 @@ std::uint32_t providerBlock(const std::string& owner) {
   return addrplan::kAwsBlock.value();
 }
 
-/// FNV-1a over the platform name: a deterministic, deployment-unique signing
-/// secret (tokens from one platform never verify on another).
-std::uint64_t sessionSecretFor(const std::string& name) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h ^ 0x6d73696d5f736573ULL;  // "msim_ses"
-}
-
 const Region& nearestOf(const std::vector<Region>& candidates,
                         const Region& user) {
   const Region* best = &candidates.front();
@@ -70,8 +59,7 @@ PlatformDeployment::PlatformDeployment(Simulator& sim, Network& net,
     : sim_{sim},
       net_{net},
       spec_{std::move(spec)},
-      regions_{std::move(serveRegions)},
-      tokenAuthority_{sessionSecretFor(spec_.name), spec_.session.tokenTtl} {
+      regions_{std::move(serveRegions)} {
   if (regions_.empty()) {
     regions_ = {regions::usEast(), regions::usWest(), regions::europe()};
   }
@@ -79,21 +67,6 @@ PlatformDeployment::PlatformDeployment(Simulator& sim, Network& net,
   room_->startEvictionSweep();
   buildControl(fabric);
   buildData(fabric);
-}
-
-PlatformDeployment::PlatformDeployment(Simulator& sim, Network& net,
-                                       InternetFabric& fabric, PlatformSpec spec,
-                                       std::vector<Region> serveRegions,
-                                       ControlTierOnly /*tag*/)
-    : sim_{sim},
-      net_{net},
-      spec_{std::move(spec)},
-      regions_{std::move(serveRegions)},
-      tokenAuthority_{sessionSecretFor(spec_.name), spec_.session.tokenTtl} {
-  if (regions_.empty()) {
-    regions_ = {regions::usEast(), regions::usWest(), regions::europe()};
-  }
-  buildControl(fabric);
 }
 
 void PlatformDeployment::buildControl(InternetFabric& fabric) {
@@ -231,18 +204,6 @@ Endpoint PlatformDeployment::dataEndpointFor(const Region& userRegion,
     }
   }
   return Endpoint{dataReplicas_.front().node->primaryAddress(), kDataPort};
-}
-
-std::uint64_t PlatformDeployment::sessionEstablishesServed() const {
-  std::uint64_t n = 0;
-  for (const auto& site : controlSites_) n += site.service->sessionEstablishes();
-  return n;
-}
-
-std::uint64_t PlatformDeployment::sessionRefreshesServed() const {
-  std::uint64_t n = 0;
-  for (const auto& site : controlSites_) n += site.service->sessionRefreshes();
-  return n;
 }
 
 bool PlatformDeployment::isControlAddress(Ipv4Address addr) const {

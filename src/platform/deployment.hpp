@@ -14,15 +14,10 @@
 #include "platform/control.hpp"
 #include "platform/relay.hpp"
 #include "platform/rtp_relay.hpp"
-#include "session/session.hpp"
 
 namespace msim {
 
 /// All servers of one platform on one fabric.
-///
-/// Subclassable: the cluster layer (src/cluster) derives a deployment whose
-/// data tier is a sharded instance fleet behind a gateway, overriding
-/// dataEndpointFor so per-user steering becomes a placement decision.
 class PlatformDeployment {
  public:
   /// Builds control and data tiers in `serveRegions` (defaults to
@@ -30,8 +25,6 @@ class PlatformDeployment {
   PlatformDeployment(Simulator& sim, Network& net, InternetFabric& fabric,
                      PlatformSpec spec,
                      std::vector<Region> serveRegions = {});
-
-  virtual ~PlatformDeployment() = default;
 
   PlatformDeployment(const PlatformDeployment&) = delete;
   PlatformDeployment& operator=(const PlatformDeployment&) = delete;
@@ -43,22 +36,11 @@ class PlatformDeployment {
 
   /// Data endpoint for the `userIndex`-th user in `userRegion` (load
   /// balancing may hand different users different replicas, §4.2).
-  [[nodiscard]] virtual Endpoint dataEndpointFor(const Region& userRegion,
-                                                 int userIndex) const;
+  [[nodiscard]] Endpoint dataEndpointFor(const Region& userRegion,
+                                         int userIndex) const;
 
   /// The shared event/room state (one social event per deployment).
   [[nodiscard]] const std::shared_ptr<RelayRoom>& room() const { return room_; }
-
-  /// Platform-wide token signer for the session tier (src/session). The
-  /// secret derives deterministically from the spec name, so tokens verify
-  /// across any hub of the same deployment and runs are seed-stable.
-  [[nodiscard]] session::TokenAuthority& tokenAuthority() {
-    return tokenAuthority_;
-  }
-
-  /// Session-tier control-channel load, summed across control sites.
-  [[nodiscard]] std::uint64_t sessionEstablishesServed() const;
-  [[nodiscard]] std::uint64_t sessionRefreshesServed() const;
 
   /// Classifier support (the capture agent maps server addresses to
   /// channels the way the paper mapped hostnames/WHOIS).
@@ -77,25 +59,7 @@ class PlatformDeployment {
   static constexpr std::uint16_t kControlPort = 443;
   static constexpr std::uint16_t kVoicePort = 5056;
 
- protected:
-  /// Tag ctor for subclasses that replace the data tier: builds the control
-  /// tier only; the subclass attaches its own data nodes/servers, registers
-  /// their addresses, and sets the primary room.
-  struct ControlTierOnly {};
-  PlatformDeployment(Simulator& sim, Network& net, InternetFabric& fabric,
-                     PlatformSpec spec, std::vector<Region> serveRegions,
-                     ControlTierOnly tag);
-
-  [[nodiscard]] Simulator& simulator() { return sim_; }
-  [[nodiscard]] const std::vector<Region>& serveRegions() const {
-    return regions_;
-  }
-  /// Registers a subclass-built data address for classifier support.
-  void registerDataAddress(Ipv4Address addr) { dataAddrs_.push_back(addr); }
-  /// Sets the room reported by room() (a cluster picks its first shard's).
-  void setPrimaryRoom(std::shared_ptr<RelayRoom> room) {
-    room_ = std::move(room);
-  }
+ private:
   [[nodiscard]] Ipv4Address providerAddress(const std::string& owner,
                                             const Region& region, int host) const;
   /// Deterministic per-deployment host-octet allocator (addresses are
@@ -103,7 +67,6 @@ class PlatformDeployment {
   /// runs assign identical addresses regardless of thread interleaving.
   std::uint8_t nextHostOctet();
 
- private:
   struct DataReplica {
     Node* node{nullptr};
     Region region;
@@ -126,7 +89,6 @@ class PlatformDeployment {
   PlatformSpec spec_;
   std::vector<Region> regions_;
   std::shared_ptr<RelayRoom> room_;
-  session::TokenAuthority tokenAuthority_;
   int hostOctetCounter_{9};
 
   std::vector<ControlSite> controlSites_;

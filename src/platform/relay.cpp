@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "avatar/codec.hpp"
@@ -12,6 +14,25 @@ namespace msim {
 namespace {
 /// Intra-site replica-to-replica forwarding cost (same DC, one hop).
 constexpr double kInterReplicaMs = 0.3;
+
+/// Throws std::invalid_argument naming the first field `spec` cannot run
+/// with: a replica count of zero leaves the deployment no server to hand
+/// out, and the interest knobs would otherwise be silently clamped.
+DataSpec validated(DataSpec spec) {
+  const auto reject = [](const char* what) {
+    throw std::invalid_argument(std::string{"DataSpec: "} + what);
+  };
+  if (spec.replicasPerSite < 1) reject("replicasPerSite must be >= 1");
+  if (!(spec.viewportWidthDeg > 0.0 && spec.viewportWidthDeg <= 360.0)) {
+    reject("viewportWidthDeg must be in (0, 360]");
+  }
+  if (!(spec.interestCellM > 0.0) || !std::isfinite(spec.interestCellM)) {
+    reject("interestCellM must be finite and > 0");
+  }
+  if (spec.interestFarKeepEvery < 1) reject("interestFarKeepEvery must be >= 1");
+  if (spec.maxEventUsers < 0) reject("maxEventUsers must be >= 0");
+  return spec;
+}
 
 /// Compiles a DataSpec's culling knobs into one interest policy. Every
 /// configuration is a special case of the same scan:
@@ -42,7 +63,7 @@ interest::InterestParams interestParamsFor(const DataSpec& spec) {
 
 RelayRoom::RelayRoom(Simulator& sim, DataSpec spec)
     : sim_{sim},
-      spec_{std::move(spec)},
+      spec_{validated(std::move(spec))},
       interest_{interestParamsFor(spec_)},
       grid_{interest_.cellM},
       gridActive_{interest_.cull()} {}
@@ -508,12 +529,9 @@ RelayRoomSnapshot RelayRoom::exportSnapshot() const {
   return snap;
 }
 
-void RelayRoom::importSnapshot(
-    const RelayRoomSnapshot& snap,
-    const std::function<RelayServer*(std::uint64_t)>& homeFor) {
+void RelayRoom::importSnapshot(const RelayRoomSnapshot& snap) {
   for (const RelayUserRecord& rec : snap.users) {
-    if (index_.find(rec.id) == nullptr &&
-        !joinImpl(rec.id, homeFor ? homeFor(rec.id) : nullptr)) {
+    if (index_.find(rec.id) == nullptr && !joinDetached(rec.id)) {
       continue;  // target room at its user cap
     }
     const std::uint32_t slot = *index_.find(rec.id);

@@ -174,12 +174,10 @@ class RelayRoom {
   [[nodiscard]] std::vector<std::uint64_t> userIds() const;
   /// Captures every user's relay state including flow clocks / LoD cadence.
   [[nodiscard]] RelayRoomSnapshot exportSnapshot() const;
-  /// Adopts a migrated room wholesale: users join this room (detached, or
-  /// homed via `homeFor` when provided) with pose history, activity, flow
-  /// clocks and decimation cadence carried over, so in-order delivery and
-  /// LoD rhythm survive the handoff.
-  void importSnapshot(const RelayRoomSnapshot& snap,
-                      const std::function<RelayServer*(std::uint64_t)>& homeFor = {});
+  /// Adopts a migrated room wholesale: users join this room detached, with
+  /// pose history, activity, flow clocks and decimation cadence carried
+  /// over, so in-order delivery and LoD rhythm survive the handoff.
+  void importSnapshot(const RelayRoomSnapshot& snap);
 
   /// Visits every member whose last known pose lies within `radius` of
   /// (x, y) as fn(userId, poseX, poseY), in deterministic order: the
@@ -318,9 +316,6 @@ class RelayServer {
   [[nodiscard]] Node& node() { return node_; }
   [[nodiscard]] std::uint16_t port() const { return port_; }
   [[nodiscard]] RelayRoom& room() { return *room_; }
-  /// Swaps the backing room (live migration re-homes a replica's users onto
-  /// the target shard's room; delivery bindings are untouched).
-  void setRoom(std::shared_ptr<RelayRoom> room) { room_ = std::move(room); }
 
   /// Sends a message to a locally-homed user (called by the room).
   void deliverToUser(std::uint64_t userId, const Message& m);

@@ -47,7 +47,10 @@ struct ControlSpec {
   Duration clockSyncInterval = Duration::seconds(2);
 };
 
-/// Data channel behaviour.
+/// Data channel behaviour. RelayRoom's constructor rejects a spec it cannot
+/// run with std::invalid_argument: replicasPerSite >= 1, 0 <
+/// viewportWidthDeg <= 360, a finite interestCellM > 0,
+/// interestFarKeepEvery >= 1 and maxEventUsers >= 0.
 struct DataSpec {
   DataProtocol protocol{DataProtocol::Udp};
   Placement placement{Placement::Anycast};
@@ -96,28 +99,6 @@ struct DataSpec {
   /// Per-event user cap (§6.2: Worlds recommends 8-12 and actually caps at
   /// 16; 0 = no limit, as on the authors' private Hubs server).
   int maxEventUsers{0};
-};
-
-/// Session lifecycle over the control channel (src/session): token auth with
-/// refresh-before-expiry, ping liveness, and reconnect backoff. These are
-/// client-policy constants, not measured per-platform facts — the defaults
-/// mirror common practice (Photon/WebSocket stacks behind the five
-/// platforms); what EMERGES is the reconnect-storm behaviour under them.
-struct SessionSpec {
-  Duration tokenTtl = Duration::minutes(10);
-  /// Refresh this far before expiry (zero = never refresh; sessions ride
-  /// their token into the expiry wave).
-  Duration tokenRefreshLead = Duration::seconds(20);
-  Duration pingInterval = Duration::seconds(25);
-  Duration maxPingDelay = Duration::seconds(10);
-  Duration minReconnectDelay = Duration::millis(200);
-  Duration maxReconnectDelay = Duration::seconds(20);
-  double backoffFactor{2.0};
-  /// Jitter each backoff delay from the sim RNG (the thundering-herd fix).
-  bool jitteredBackoff{true};
-  /// Serialized token blob in the establish/refresh responses (a signed
-  /// claim set; ~420 B is a typical compact JWT).
-  ByteSize tokenBytes = ByteSize::bytes(420);
 };
 
 /// Welcome-page / background content behaviour (§5.2).
@@ -188,7 +169,6 @@ struct PlatformSpec {
   std::string name;
   FeatureSpec features;
   ControlSpec control;
-  SessionSpec session;
   DataSpec data;
   AvatarSpec avatar;
   ContentSpec content;

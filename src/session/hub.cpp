@@ -41,11 +41,7 @@ void SessionHub::deregisterSession(std::uint32_t id) {
 void SessionHub::requestToken(std::uint32_t id, std::uint64_t epoch) {
   Session* s = sessionAt(id);
   if (s == nullptr) return;
-  if (tokenSource_) {
-    tokenSource_(*s, epoch);
-    return;
-  }
-  // Default source: a control-channel round trip to the hub's own authority.
+  // A control-channel round trip to the hub's own authority.
   sim_.scheduleAfter(downlinkDelay(*s) * 2.0, [this, id, epoch] {
     if (Session* s = sessionAt(id)) {
       s->deliverToken(authority_.issue(s->userId(), sim_.now()), epoch);

@@ -62,10 +62,6 @@ class SessionHub {
   using Placer =
       std::function<std::int32_t(std::uint64_t userId, const Region& region,
                                  bool reconnect)>;
-  /// Asynchronous token acquisition: must eventually call
-  /// session.deliverToken(token, epoch). The default source models a
-  /// control-channel round trip and mints from the hub's own authority.
-  using TokenSource = std::function<void(Session& s, std::uint64_t epoch)>;
   using SessionHook = std::function<void(Session& s)>;
 
   SessionHub(Simulator& sim, TokenAuthority authority, HubConfig cfg);
@@ -82,7 +78,6 @@ class SessionHub {
   }
 
   void setPlacer(Placer p) { placer_ = std::move(p); }
-  void setTokenSource(TokenSource s) { tokenSource_ = std::move(s); }
   /// Fired when a session is accepted / loses its binding (shard death,
   /// expiry, clean bye) / closes for good. The cluster layer joins and
   /// leaves relay rooms from these.
@@ -186,7 +181,6 @@ class SessionHub {
   bool serviceArmed_{false};
   std::size_t connected_{0};
   Placer placer_;
-  TokenSource tokenSource_;
   SessionHook onUp_;
   SessionHook onDown_;
   SessionHook onClosed_;

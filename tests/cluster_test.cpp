@@ -1,5 +1,5 @@
 // The src/cluster subsystem: gateway placement, the shard capacity model,
-// live room migration, cluster determinism, and the networked deployment.
+// live room migration and cluster determinism.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "avatar/codec.hpp"
-#include "cluster/deployment.hpp"
 #include "cluster/manager.hpp"
 #include "cluster/partitioned.hpp"
 #include "core/experiments.hpp"
@@ -489,145 +488,6 @@ TEST(ClusterDeterminismTest, SeedSweepBitIdenticalForAnyThreadCount) {
   }
   // Different seeds genuinely differ (the digest is not degenerate).
   EXPECT_NE(serial[0], serial[1]);
-}
-
-// --------------------------------------------- paper claims (per instance)
-
-struct InstancePoint {
-  double downMbps{0.0};
-  double fps{0.0};
-};
-
-// User 0's downlink and FPS after settling, in a networked deployment —
-// `factory` decides whether the data tier is one relay or a cluster.
-template <typename Factory>
-InstancePoint measureUser0(std::uint64_t seed, int users, Factory&& factory) {
-  Testbed bed{seed};
-  factory(bed);
-  for (int i = 0; i < users; ++i) {
-    TestUserConfig cfg;
-    cfg.wander = false;
-    bed.addUser(cfg);
-  }
-  bed.sim().schedule(TimePoint::epoch(), [&] {
-    for (auto& u : bed.users()) u->client->launch();
-  });
-  for (int i = 0; i < users; ++i) {
-    bed.sim().schedule(
-        TimePoint::epoch() + Duration::seconds(2) + Duration::millis(200.0 * i),
-        [&, i] { bed.user(i).client->joinEvent(); });
-  }
-  const double settleSec = 2.0 + 0.2 * users + 6.0;
-  const Duration window = Duration::seconds(8);
-  bed.sim().runFor(Duration::seconds(settleSec) + window);
-
-  auto& u0 = bed.user(0);
-  const auto firstBin = static_cast<std::size_t>(settleSec);
-  const auto lastBin =
-      static_cast<std::size_t>(settleSec + window.toSeconds()) - 1;
-  InstancePoint p;
-  p.downMbps = u0.capture->meanRate(Channel::DataDown, firstBin, lastBin).toMbps();
-  const TimePoint from = TimePoint::epoch() + Duration::seconds(settleSec);
-  p.fps = u0.headset->metrics().averageOver(from, from + window).fps;
-  return p;
-}
-
-TEST(ClusterPaperClaimsTest, PerInstanceMatchesSingleRelayWithin1Percent) {
-  const PlatformSpec spec = platforms::vrchat();
-  for (const int n : {2, 8}) {
-    const InstancePoint single = measureUser0(
-        41, n, [&spec](Testbed& bed) { bed.deploy(spec); });
-    // 3 shards packed to n users each: shard 0 hosts users 0..n-1, so user 0
-    // lives at the same occupancy as in the single-relay baseline.
-    const InstancePoint sharded =
-        measureUser0(41, 3 * n, [&spec, n](Testbed& bed) {
-          ClusterConfig cfg;
-          cfg.initialInstances = 3;
-          cfg.policy = PlacementPolicy::FillToCapacity;
-          cfg.capacity.softUserCap = n;
-          bed.deployCluster(spec, cfg);
-        });
-    ASSERT_GT(single.downMbps, 0.0);
-    ASSERT_GT(single.fps, 0.0);
-    EXPECT_NEAR(sharded.downMbps, single.downMbps, 0.01 * single.downMbps)
-        << n << " users";
-    EXPECT_NEAR(sharded.fps, single.fps, 0.01 * single.fps) << n << " users";
-  }
-}
-
-// ------------------------------------------------------ networked cluster
-
-TEST(ClusterDeploymentTest, GatewaySteersUsersAcrossShards) {
-  Testbed bed{5};
-  ClusterConfig cfg;
-  cfg.initialInstances = 2;
-  cfg.policy = PlacementPolicy::LeastLoaded;
-  auto& dep = bed.deployCluster(platforms::vrchat(), cfg);
-  for (int i = 0; i < 6; ++i) {
-    TestUserConfig ucfg;
-    ucfg.wander = false;
-    bed.addUser(ucfg);
-  }
-  bed.sim().schedule(TimePoint::epoch(), [&] {
-    for (auto& u : bed.users()) {
-      u->client->launch();
-      u->client->joinEvent();
-    }
-  });
-  bed.sim().runFor(Duration::seconds(12));
-
-  EXPECT_EQ(dep.manager().instance(0)->userCount(), 3u);
-  EXPECT_EQ(dep.manager().instance(1)->userCount(), 3u);
-  // The two shards answer at distinct addresses (the §4.2 observation).
-  const Endpoint e0 = dep.manager().instance(0)->endpoint();
-  const Endpoint e1 = dep.manager().instance(1)->endpoint();
-  EXPECT_NE(e0.addr, e1.addr);
-  EXPECT_TRUE(dep.isDataAddress(e0.addr));
-  EXPECT_TRUE(dep.isDataAddress(e1.addr));
-  for (auto& u : bed.users()) {
-    EXPECT_EQ(u->client->phase(), ClientPhase::InEvent);
-  }
-}
-
-TEST(ClusterDeploymentTest, DrainShardMigratesLiveSessions) {
-  Testbed bed{6};
-  ClusterConfig cfg;
-  cfg.initialInstances = 2;
-  cfg.policy = PlacementPolicy::LeastLoaded;
-  auto& dep = bed.deployCluster(platforms::vrchat(), cfg);
-  for (int i = 0; i < 6; ++i) {
-    TestUserConfig ucfg;
-    ucfg.wander = false;
-    bed.addUser(ucfg);
-  }
-  bed.sim().schedule(TimePoint::epoch(), [&] {
-    for (auto& u : bed.users()) {
-      u->client->launch();
-      u->client->joinEvent();
-    }
-  });
-  bed.sim().runFor(Duration::seconds(10));
-  ASSERT_EQ(dep.manager().instance(1)->userCount(), 3u);
-
-  bed.sim().schedule(bed.sim().now(), [&dep] {
-    EXPECT_EQ(dep.drainShard(1), 3u);
-  });
-  bed.sim().runFor(Duration::seconds(10));
-
-  // Everyone now lives in shard 0's room; the drained shard is empty and
-  // clients never noticed (still in the event, data still flowing).
-  EXPECT_EQ(dep.manager().instance(0)->userCount(), 6u);
-  EXPECT_EQ(dep.manager().instance(1)->userCount(), 0u);
-  for (auto& u : bed.users()) {
-    EXPECT_EQ(u->client->phase(), ClientPhase::InEvent);
-  }
-  const auto lastBin = static_cast<std::size_t>(
-      bed.sim().now().sinceEpoch().toSeconds()) - 1;
-  // Post-drain downlink on a shard-1 user: all five peers' updates arrive.
-  EXPECT_GT(bed.user(1)
-                .capture->meanRate(Channel::DataDown, lastBin - 3, lastBin)
-                .toMbps(),
-            0.0);
 }
 
 }  // namespace

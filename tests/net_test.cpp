@@ -8,6 +8,7 @@
 #include <functional>
 #include <queue>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -192,6 +193,67 @@ TEST_F(TwoNodeFixture, TapsSeeBothDirections) {
   EXPECT_EQ(egressAt[1], t0);
   // 142 B of wire at 1 B/us.
   EXPECT_EQ(egressAt[2], t0 + Duration::micros(142));
+}
+
+// ------------------------------------------------------------- link config
+
+// Connects two fresh nodes with `cfg` in one direction and a good config in
+// the other; reports whether Link::connect accepted it and, on rejection,
+// that neither node gained a device.
+bool connectAccepts(const LinkConfig& cfg, bool reverse = false) {
+  Simulator sim;
+  Network net{sim};
+  Node& a = net.addNode("a");
+  Node& b = net.addNode("b");
+  try {
+    if (reverse) {
+      Link::connect(a, b, LinkConfig{}, cfg);
+    } else {
+      Link::connect(a, b, cfg, LinkConfig{});
+    }
+  } catch (const std::invalid_argument&) {
+    EXPECT_TRUE(a.devices().empty());
+    EXPECT_TRUE(b.devices().empty());
+    return false;
+  }
+  return true;
+}
+
+TEST(LinkConfigTest, RejectsZeroRate) {
+  LinkConfig cfg;
+  cfg.rate = DataRate::zero();
+  EXPECT_FALSE(connectAccepts(cfg));
+  EXPECT_FALSE(connectAccepts(cfg, /*reverse=*/true));
+}
+
+TEST(LinkConfigTest, RejectsNegativeRate) {
+  LinkConfig cfg;
+  cfg.rate = DataRate::kbps(-5);
+  EXPECT_FALSE(connectAccepts(cfg));
+}
+
+TEST(LinkConfigTest, RejectsNegativeDelay) {
+  LinkConfig cfg;
+  cfg.delay = Duration::micros(-1);
+  EXPECT_FALSE(connectAccepts(cfg));
+  EXPECT_FALSE(connectAccepts(cfg, /*reverse=*/true));
+}
+
+TEST(LinkConfigTest, RejectsNonPositiveQueueLimit) {
+  LinkConfig cfg;
+  cfg.queueLimit = ByteSize::zero();
+  EXPECT_FALSE(connectAccepts(cfg));
+  cfg.queueLimit = ByteSize::bytes(-1);
+  EXPECT_FALSE(connectAccepts(cfg, /*reverse=*/true));
+}
+
+TEST(LinkConfigTest, AcceptsUnlimitedRateAndBoundaryValues) {
+  LinkConfig cfg;
+  cfg.rate = DataRate::unlimited();
+  cfg.delay = Duration::zero();
+  cfg.queueLimit = ByteSize::bytes(1);
+  EXPECT_TRUE(connectAccepts(cfg));
+  EXPECT_TRUE(connectAccepts(LinkConfig{}));
 }
 
 // ------------------------------------------------------------------ routing

@@ -1,8 +1,12 @@
-// Tests for the platform models: catalog invariants, relay mechanics
-// (forwarding, viewport filter, eviction, FIFO), deployment placement,
-// control service, and the remote-rendering / P2P extensions.
+// Tests for the platform models: catalog invariants, DataSpec validation,
+// relay mechanics (forwarding, viewport filter, eviction, FIFO), deployment
+// placement, control service, and the remote-rendering / P2P extensions.
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "platform/deployment.hpp"
 #include "platform/p2p.hpp"
@@ -104,6 +108,99 @@ TEST(CatalogTest, WorldsUplinkStatusExplainsAsymmetry) {
       EXPECT_TRUE(p.data.uplinkStatusRate.isZero());
     }
   }
+}
+
+// --------------------------------------------------------------- data spec
+
+bool roomAccepts(const DataSpec& spec) {
+  Simulator sim;
+  try {
+    RelayRoom room{sim, spec};
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
+  return true;
+}
+
+TEST(DataSpecTest, RejectsReplicasPerSiteBelowOne) {
+  DataSpec spec;
+  spec.replicasPerSite = 0;
+  EXPECT_FALSE(roomAccepts(spec));
+  spec.replicasPerSite = -2;
+  EXPECT_FALSE(roomAccepts(spec));
+}
+
+TEST(DataSpecTest, RejectsNonPositiveOrNanInterestCell) {
+  DataSpec spec;
+  spec.interestCellM = 0.0;
+  EXPECT_FALSE(roomAccepts(spec));
+  spec.interestCellM = -8.0;
+  EXPECT_FALSE(roomAccepts(spec));
+  spec.interestCellM = std::nan("");
+  EXPECT_FALSE(roomAccepts(spec));
+  spec.interestCellM = INFINITY;
+  EXPECT_FALSE(roomAccepts(spec));
+}
+
+TEST(DataSpecTest, RejectsZeroFarKeepEvery) {
+  DataSpec spec;
+  spec.interestFarKeepEvery = 0;
+  EXPECT_FALSE(roomAccepts(spec));
+}
+
+TEST(DataSpecTest, RejectsNegativeMaxEventUsers) {
+  DataSpec spec;
+  spec.maxEventUsers = -1;
+  EXPECT_FALSE(roomAccepts(spec));
+}
+
+TEST(DataSpecTest, RejectsViewportWidthOutsideZeroTo360) {
+  DataSpec spec;
+  spec.viewportWidthDeg = 0.0;
+  EXPECT_FALSE(roomAccepts(spec));
+  spec.viewportWidthDeg = 360.5;
+  EXPECT_FALSE(roomAccepts(spec));
+  spec.viewportWidthDeg = std::nan("");
+  EXPECT_FALSE(roomAccepts(spec));
+}
+
+TEST(DataSpecTest, NamesTheRejectedField) {
+  Simulator sim;
+  DataSpec spec;
+  spec.interestFarKeepEvery = 0;
+  try {
+    RelayRoom room{sim, spec};
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("interestFarKeepEvery"),
+              std::string::npos);
+  }
+}
+
+TEST(DataSpecTest, AcceptsCatalogAndBoundaryValues) {
+  for (const PlatformSpec& p :
+       {platforms::altspaceVR(), platforms::hubs(), platforms::hubsPrivate(),
+        platforms::recRoom(), platforms::vrchat(), platforms::worlds()}) {
+    EXPECT_TRUE(roomAccepts(p.data)) << p.name;
+  }
+  DataSpec spec;
+  spec.replicasPerSite = 1;
+  spec.interestCellM = 1e-3;
+  spec.interestFarKeepEvery = 1;
+  spec.maxEventUsers = 0;
+  spec.viewportWidthDeg = 360.0;
+  EXPECT_TRUE(roomAccepts(spec));
+  spec.viewportWidthDeg = 1e-3;
+  EXPECT_TRUE(roomAccepts(spec));
+}
+
+TEST(DataSpecTest, DeploymentRejectsZeroReplicasPerSite) {
+  Simulator sim;
+  Network net{sim};
+  InternetFabric fabric{net};
+  PlatformSpec spec = platforms::worlds();
+  spec.data.replicasPerSite = 0;
+  EXPECT_THROW(PlatformDeployment(sim, net, fabric, spec), std::invalid_argument);
 }
 
 // -------------------------------------------------------------- relay room

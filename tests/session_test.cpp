@@ -1,7 +1,6 @@
 // The src/session subsystem: connection state machine, token auth, ping
 // liveness, reconnect backoff, channel recovery — and its coupling to the
-// cluster (gateway reconnect placement) and the platform control tier
-// (ControlSessionGate token round trips).
+// cluster (gateway reconnect placement).
 
 #include <gtest/gtest.h>
 
@@ -13,8 +12,6 @@
 #include "cluster/manager.hpp"
 #include "cluster/sessions.hpp"
 #include "core/seedsweep.hpp"
-#include "core/testbed.hpp"
-#include "platform/session_gate.hpp"
 #include "session/hub.hpp"
 
 namespace msim::session {
@@ -747,39 +744,3 @@ TEST(SessionSweepTest, ChurnFingerprintIsNotDegenerate) {
 
 }  // namespace
 }  // namespace msim::cluster
-
-// ------------------------------------------- networked token establishment
-
-namespace msim {
-namespace {
-
-TEST(SessionGateTest, EstablishAndRefreshRideTheControlChannel) {
-  Testbed bed{3};
-  PlatformSpec spec = platforms::vrchat();
-  spec.session.tokenTtl = Duration::seconds(15);
-  spec.session.tokenRefreshLead = Duration::seconds(5);
-  PlatformDeployment& dep = bed.deploy(spec);
-  TestUser& u = bed.addUser();
-
-  // The hub verifies with the deployment's authority (same secret), while
-  // the gate turns every token request into a real HTTPS round trip from
-  // the headset to the nearest control site.
-  session::SessionHub hub{bed.sim(), dep.tokenAuthority(), {}};
-  ControlSessionGate gate{hub, *u.headsetNode, dep};
-  session::Session s{hub, sessionConfigFor(spec.session), 99,
-                     regions::usEast()};
-  s.connect();
-  bed.sim().runFor(Duration::seconds(30));
-
-  EXPECT_EQ(s.state(), session::ConnectionState::Connected);
-  EXPECT_EQ(gate.failures(), 0u);
-  EXPECT_GE(gate.establishRequests(), 1u);
-  EXPECT_GE(gate.refreshRequests(), 2u);  // ~every 10 s with a 15 s ttl
-  EXPECT_EQ(dep.sessionEstablishesServed(), gate.establishRequests());
-  EXPECT_EQ(dep.sessionRefreshesServed(), gate.refreshRequests());
-  EXPECT_GE(s.stats().tokenRefreshes, 2u);
-  EXPECT_EQ(hub.stats().expiries, 0u);
-}
-
-}  // namespace
-}  // namespace msim
