@@ -54,14 +54,21 @@ void CaptureAgent::onPacket(const Packet& p, bool uplink, TimePoint at) {
     }
   }
   if (actionId != 0) {
+    // Taps need not come in wire-time order (an egress tap fires before its
+    // packet reaches the wire, a cut-through hop's ingress tap before its
+    // packet arrives), so keep the earliest wire time, not the first tapped.
     auto& registry = uplink ? firstUpAction_ : firstDownAction_;
-    if (!registry.contains(actionId)) registry.insert(actionId, at);
+    if (TimePoint* first = registry.find(actionId)) {
+      if (at < *first) *first = at;
+    } else {
+      registry.insert(actionId, at);
+    }
   }
 
   if (storeRecords_) {
-    // An uplink packet is shown to the tap when the device accepts it, so
-    // its wire time can lie ahead of later-arriving downlink packets; file
-    // it in wire-time order, as the AP's Wireshark would log it.
+    // Taps fire ahead of the wire (see above), so a record's wire time can
+    // lie ahead of later-tapped ones; file it in wire-time order, as the
+    // AP's Wireshark would log it.
     auto pos = records_.end();
     while (pos != records_.begin() && std::prev(pos)->at > at) --pos;
     records_.insert(pos, PacketRecord{at, uplink, p.wireSize(), p.src, p.dst,

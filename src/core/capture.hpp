@@ -63,7 +63,8 @@ class CaptureAgent {
   /// experiments only need the bins.
   void setStoreRecords(bool store) { storeRecords_ = store; }
 
-  /// First time an uplink/downlink data-channel packet carried the action.
+  /// Earliest wire time of an uplink/downlink packet carrying the action
+  /// (the minimum over its packets, whatever order the taps fired in).
   [[nodiscard]] std::optional<TimePoint> firstUplinkAction(std::uint64_t actionId) const;
   [[nodiscard]] std::optional<TimePoint> firstDownlinkAction(std::uint64_t actionId) const;
 
@@ -78,10 +79,12 @@ class CaptureAgent {
   ///   12.345678 UP   10.1.0.2:49152 > 100.2.1.10:5055 UDP 1038B [data-up]
   [[nodiscard]] std::string exportTraceText(std::size_t maxLines = 0) const;
 
- private:
-  /// `at` is the packet's wire time at the tapped device
-  /// (NetDevice::tapTime()), not the dispatch time of the tap.
+  /// What the tap on the captured device calls for each packet. `at` is
+  /// the packet's wire time there (NetDevice::tapTime()), not the dispatch
+  /// time of the tap; calls need not come in wire-time order.
   void onPacket(const Packet& p, bool uplink, TimePoint at);
+
+ private:
   [[nodiscard]] Channel classify(const Packet& p, bool uplink) const;
 
   const PlatformDeployment& deployment_;

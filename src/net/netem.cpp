@@ -1,8 +1,30 @@
 #include "net/netem.hpp"
 
+#include <stdexcept>
+
+#include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
 namespace msim {
+
+void Netem::checkNotHeld() const {
+  if (clock_ != nullptr && heldUntil_ >= clock_->now()) {
+    throw std::logic_error(
+        "Netem: reconfigured while a cut-through admission under the old "
+        "config is still ahead");
+  }
+}
+
+void Netem::configure(NetemConfig cfg) {
+  checkNotHeld();
+  cfg_ = cfg;
+}
+
+void Netem::reset() {
+  checkNotHeld();
+  cfg_ = NetemConfig{};
+  nextFree_ = TimePoint::epoch();
+}
 
 Netem::Verdict Netem::apply(TimePoint now, ByteSize size, Rng& rng, bool isTcp) {
   Verdict v;

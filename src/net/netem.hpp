@@ -12,6 +12,7 @@
 namespace msim {
 
 class Rng;
+class Simulator;
 
 /// Which packets an impairment applies to (tc filters by protocol — the
 /// Fig. 13 bottom experiment shaped *only* the TCP uplink).
@@ -40,9 +41,19 @@ struct NetemConfig {
 /// Stateful shaper applied on a device's egress path.
 class Netem {
  public:
-  void configure(NetemConfig cfg) { cfg_ = cfg; }
-  void reset() { cfg_ = NetemConfig{}; nextFree_ = TimePoint::epoch(); }
+  /// Both throw std::logic_error while a cut-through admission made under
+  /// the current config lies at or ahead of now (see holdConfigUntil).
+  void configure(NetemConfig cfg);
+  void reset();
   [[nodiscard]] const NetemConfig& config() const { return cfg_; }
+
+  /// Called by the owning device when it admits a cut-through packet ahead
+  /// of now, at `until`: the one-event-per-hop model would apply the config
+  /// at `until`, so changing it before then would silently diverge.
+  void holdConfigUntil(const Simulator& sim, TimePoint until) {
+    clock_ = &sim;
+    heldUntil_ = until;
+  }
 
   struct Verdict {
     bool drop{false};
@@ -59,8 +70,12 @@ class Netem {
   [[nodiscard]] std::uint64_t droppedByShaper() const { return droppedByShaper_; }
 
  private:
+  void checkNotHeld() const;
+
   NetemConfig cfg_;
   TimePoint nextFree_{TimePoint::epoch()};
+  const Simulator* clock_{nullptr};
+  TimePoint heldUntil_{TimePoint::epoch()};
   std::uint64_t droppedByLoss_{0};
   std::uint64_t droppedByShaper_{0};
 };

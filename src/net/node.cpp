@@ -18,7 +18,7 @@ std::uint64_t nextPacketUid() {
 NetDevice::NetDevice(Node& owner, std::string name)
     : owner_{owner}, name_{std::move(name)} {}
 
-void NetDevice::send(Packet p) {
+void NetDevice::send(Packet&& p) {
   if (p.firstSentAt == TimePoint::epoch() && owner_.sim().now() > TimePoint::epoch()) {
     p.firstSentAt = owner_.sim().now();
   }
@@ -34,31 +34,104 @@ void NetDevice::send(Packet p) {
   }
 }
 
-void NetDevice::enqueueForTransmit(Packet p) {
-  auto& sim = owner_.sim();
-  const TimePoint now = sim.now();
-  // Packets whose transmission has begun leave the backlog.
-  while (started_ != tail_ &&
-         ring_[started_ & (ring_.size() - 1)].txStart <= now) {
-    backlogBytes_ -= ring_[started_ & (ring_.size() - 1)].packet.wireSize();
-    ++started_;
+void NetDevice::enqueueForTransmit(Packet&& p) {
+  const TimePoint now = owner_.sim().now();
+  InFlight* slot = admit(p, now);
+  if (slot == nullptr) return;
+  const TimePoint arrival = busyUntil_ + cfg_.delay;
+  if (NetDevice* out = cutThroughTarget(p, arrival)) {
+    slot->cut = true;
+    ++cutThroughs_;
+    cutThrough(std::move(p), arrival, *out);
+    return;
   }
+  launch(*slot, std::move(p), arrival);
+}
+
+NetDevice::InFlight* NetDevice::admit(const Packet& p, TimePoint at) {
+  popStarted(at);
   const ByteSize size = p.wireSize();
   if (started_ != tail_ && backlogBytes_ + size > cfg_.queueLimit) {
     ++queueDrops_;
-    return;
+    return nullptr;
   }
-  const TimePoint start = std::max(now, busyUntil_);
+  const TimePoint start = std::max(at, busyUntil_);
   busyUntil_ = start + cfg_.rate.transmissionTime(size);
   tapTime_ = start;
   notifyTaps(p, TapDir::Egress);
   if (tail_ - head_ == ring_.size()) growRing();
   InFlight& slot = ring_[tail_ & (ring_.size() - 1)];
-  slot.packet = std::move(p);
   slot.txStart = start;
+  slot.wire = size;
   ++tail_;
   backlogBytes_ += size;
-  sim.schedule(busyUntil_ + cfg_.delay, [this] { deliverHead(); });
+  return &slot;
+}
+
+void NetDevice::launch(InFlight& slot, Packet&& p, TimePoint arrival) {
+  slot.cut = false;
+  slot.turns = turnsAtPeer(p);
+  ++slowInFlight_;
+  if (slot.turns) ++turnsInFlight_;
+  slot.packet = std::move(p);
+  owner_.sim().schedule(arrival, [this] { deliverHead(); });
+}
+
+// Packets whose transmission has begun by `at` leave the backlog, and cut
+// entries among them leave the ring: no delivery event will pop them.
+void NetDevice::popStarted(TimePoint at) {
+  const std::size_t mask = ring_.size() - 1;
+  while (started_ != tail_ && ring_[started_ & mask].txStart <= at) {
+    backlogBytes_ -= ring_[started_ & mask].wire;
+    ++started_;
+  }
+  while (head_ != started_ && ring_[head_ & mask].cut) ++head_;
+}
+
+// The exactness rule of DESIGN.md §7. The hop through the peer node X is cut
+// through onto X's other device D only when everything D will admit up to
+// `arrival` is already known now.
+NetDevice* NetDevice::cutThroughTarget(const Packet& p, TimePoint arrival) const {
+  if (peer_ == nullptr || slowInFlight_ != 0 || p.ttl <= 1) return nullptr;
+  const Node& x = peer_->owner_;
+  if (!x.onlyForwards() || x.ownsAddress(p.dst)) return nullptr;
+  NetDevice* out = x.route(p.dst);
+  if (out == nullptr || out == peer_ || !out->netem_.config().isTransparent()) {
+    return nullptr;
+  }
+  // Nothing X would put onto `out` may reach X from out's far end by
+  // `arrival`: none in flight now, and none sent later.
+  const NetDevice* back = out->peer_;
+  if (back == nullptr || back->turnsInFlight_ != 0 ||
+      owner_.sim().now() + back->cfg_.delay <= arrival) {
+    return nullptr;
+  }
+  return out;
+}
+
+// X's hop at `arrival`, run at acceptance: ingress taps, forwarding, and the
+// outbound device's admission as of `arrival`.
+void NetDevice::cutThrough(Packet&& p, TimePoint arrival, NetDevice& out) {
+  peer_->tapTime_ = arrival;
+  peer_->notifyTaps(p, TapDir::Ingress);
+  --p.ttl;
+  if (p.firstSentAt == TimePoint::epoch() && arrival > TimePoint::epoch()) {
+    p.firstSentAt = arrival;
+  }
+  out.netem_.holdConfigUntil(owner_.sim(), arrival);
+  InFlight* slot = out.admit(p, arrival);
+  if (slot == nullptr) return;
+  out.launch(*slot, std::move(p), out.busyUntil_ + out.cfg_.delay);
+}
+
+// Whether the peer node would answer `p` itself or route it back out of
+// peer_, putting a packet onto peer_. Assumed of any peer that does more
+// than forward.
+bool NetDevice::turnsAtPeer(const Packet& p) const {
+  if (peer_ == nullptr) return false;
+  const Node& x = peer_->owner_;
+  return !x.onlyForwards() || p.ttl <= 1 || x.ownsAddress(p.dst) ||
+         x.route(p.dst) == peer_;
 }
 
 void NetDevice::growRing() {
@@ -75,13 +148,20 @@ void NetDevice::growRing() {
 }
 
 void NetDevice::deliverHead() {
-  InFlight& head = ring_[head_ & (ring_.size() - 1)];
-  if (started_ == head_) {  // still counted in the backlog: it has started
-    backlogBytes_ -= head.packet.wireSize();
-    ++started_;
-  }
-  ++head_;
-  Packet p = std::move(head.packet);
+  // Pops this delivery's entry and the cut entries ahead of it, which have
+  // started and have no event of their own.
+  InFlight* head = nullptr;
+  do {
+    head = &ring_[head_ & (ring_.size() - 1)];
+    if (started_ == head_) {  // still counted in the backlog: it has started
+      backlogBytes_ -= head->wire;
+      ++started_;
+    }
+    ++head_;
+  } while (head->cut);
+  --slowInFlight_;
+  if (head->turns) --turnsInFlight_;
+  Packet p = std::move(head->packet);
   if (peer_ == nullptr) return;
   peer_->tapTime_ = owner_.sim().now();
   peer_->notifyTaps(p, TapDir::Ingress);
@@ -148,6 +228,10 @@ void Node::addHostRoute(Ipv4Address dst, NetDevice& via) {
 }
 
 void Node::addPrefixRoute(Ipv4Address prefix, int prefixLen, NetDevice& via) {
+  if (prefixLen >= 32) {
+    if (!hostRoutes_.contains(prefix.value())) hostRoutes_.insert(prefix.value(), &via);
+    return;
+  }
   routes_.push_back(RouteEntry{prefix, prefixLen, &via});
   std::stable_sort(routes_.begin(), routes_.end(),
                    [](const RouteEntry& a, const RouteEntry& b) {
@@ -158,6 +242,7 @@ void Node::addPrefixRoute(Ipv4Address prefix, int prefixLen, NetDevice& via) {
 void Node::setDefaultRoute(NetDevice& via) { defaultRoute_ = &via; }
 
 NetDevice* Node::route(Ipv4Address dst) const {
+  if (NetDevice* const* via = hostRoutes_.find(dst.value())) return *via;
   for (const auto& entry : routes_) {
     if (dst.inPrefix(entry.prefix, entry.prefixLen)) return entry.via;
   }
@@ -171,7 +256,7 @@ void Node::sendFromLocal(Packet p) {
   if (p.uid == 0) p.uid = sim().nextId();
   if (ownsAddress(p.dst)) {
     // Loopback delivery, e.g. a locally-hosted private Hubs server.
-    handleLocal(std::move(p));
+    handleLocal(p);
     return;
   }
   NetDevice* via = route(p.dst);
@@ -182,15 +267,15 @@ void Node::sendFromLocal(Packet p) {
   via->send(std::move(p));
 }
 
-void Node::receive(Packet p, NetDevice& /*from*/) {
+void Node::receive(Packet&& p, NetDevice& /*from*/) {
   if (ownsAddress(p.dst)) {
-    handleLocal(std::move(p));
+    handleLocal(p);
     return;
   }
   forward(std::move(p));
 }
 
-void Node::handleLocal(Packet p) {
+void Node::handleLocal(const Packet& p) {
   if (p.proto == IpProto::Icmp) {
     const IcmpHeader* icmp = p.icmp();
     if (icmp != nullptr && icmp->type == IcmpType::EchoRequest && icmpEchoEnabled_) {
@@ -214,7 +299,7 @@ void Node::handleLocal(Packet p) {
   if (localHandler_) localHandler_(p);
 }
 
-void Node::forward(Packet p) {
+void Node::forward(Packet&& p) {
   if (p.ttl <= 1) {
     sendIcmpTimeExceeded(p);
     return;

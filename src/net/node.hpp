@@ -14,6 +14,11 @@
 // and schedules exactly one delivery event per hop. Per-link FIFO needs no
 // bookkeeping beyond the ring: the delay is constant and transmission is
 // serial, so arrivals come out in acceptance order (see DESIGN.md §7).
+//
+// Where the peer is a two-port node that only forwards (a Wi-Fi AP), the hop
+// through it is cut through when that is exact: the packet goes straight to
+// the node's outbound device at its computed arrival, and only that device
+// schedules an event (DESIGN.md §7, "Cut-through at two-port transit nodes").
 
 #include <cstdint>
 #include <functional>
@@ -24,6 +29,7 @@
 #include "net/netem.hpp"
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
+#include "util/flatmap.hpp"
 
 namespace msim {
 
@@ -54,7 +60,7 @@ class NetDevice {
   [[nodiscard]] NetDevice* peer() { return peer_; }
 
   /// Egress entry point: netem -> queue -> serialize -> propagate.
-  void send(Packet p);
+  void send(Packet&& p);
 
   /// Netem impairment applied to this device's egress (like `tc qdisc` on
   /// one interface direction).
@@ -62,28 +68,51 @@ class NetDevice {
 
   using Tap = std::function<void(const Packet&, TapDir)>;
   /// Registers a promiscuous capture callback (Wireshark-style). Egress
-  /// taps fire when the device accepts a packet, ingress taps when it
-  /// arrives; neither schedules anything, so installing taps never changes
-  /// the event stream.
+  /// taps fire when the device accepts a packet. Ingress taps fire in the
+  /// delivery event, except at a cut-through hop, where they fire when the
+  /// upstream device accepts the packet. Neither schedules anything, so
+  /// installing taps never changes the event stream. Taps are meant to be
+  /// installed before traffic flows.
   void addTap(Tap tap) { taps_.push_back(std::move(tap)); }
 
   /// The wire time of the packet a tap is being shown: its transmission
-  /// start for egress (which may lie ahead of now() when it waits in the
-  /// queue), its arrival time for ingress. Meaningful inside a tap only.
+  /// start for egress, its exact arrival for ingress. Either may lie ahead
+  /// of now() (a packet waiting in the queue, a cut-through hop) but never
+  /// before it. Meaningful inside a tap only.
   [[nodiscard]] TimePoint tapTime() const { return tapTime_; }
 
   [[nodiscard]] std::uint64_t queueDrops() const { return queueDrops_; }
 
+  /// Accepted packets whose hop through the peer node was cut through:
+  /// handed at acceptance to the peer's outbound device, with no event at
+  /// the peer.
+  [[nodiscard]] std::uint64_t cutThroughs() const { return cutThroughs_; }
+
  private:
   friend class Link;
-  // An accepted packet and the time its transmission starts.
+  // An accepted packet and the time its transmission starts. A cut entry's
+  // packet has moved on to the next hop's device at acceptance; the entry
+  // stays for the drop-tail backlog, and no delivery event pops it.
   struct InFlight {
     Packet packet;
     TimePoint txStart;
+    ByteSize wire;
+    bool cut{false};
+    bool turns{false};  // see turnsAtPeer()
   };
   static constexpr std::size_t kInitialRing = 16;
 
-  void enqueueForTransmit(Packet p);
+  void enqueueForTransmit(Packet&& p);
+  // Drop-tail admission at `at` (now, or a cut-through arrival ahead of
+  // now): fires the egress taps and takes a ring slot for the packet, whose
+  // transmission ends at busyUntil_; nullptr on a drop.
+  InFlight* admit(const Packet& p, TimePoint at);
+  // Parks the packet just admitted in `slot` and schedules its delivery.
+  void launch(InFlight& slot, Packet&& p, TimePoint arrival);
+  [[nodiscard]] NetDevice* cutThroughTarget(const Packet& p, TimePoint arrival) const;
+  void cutThrough(Packet&& p, TimePoint arrival, NetDevice& out);
+  [[nodiscard]] bool turnsAtPeer(const Packet& p) const;
+  void popStarted(TimePoint at);
   void growRing();
   void deliverHead();
   void notifyTaps(const Packet& p, TapDir dir) const;
@@ -94,18 +123,25 @@ class NetDevice {
   LinkConfig cfg_;
   Netem netem_;
   // Transmitter state. The ring holds every accepted packet until its
-  // delivery event pops it; its size is a power of two and the cursors are
-  // absolute counts, masked on access. [head_, started_) have begun
-  // transmitting; [started_, tail_) is the drop-tail backlog as of the last
-  // admission check (entries whose txStart has passed leave it lazily).
+  // delivery event pops it (a cut entry: until it has started and reaches
+  // the head); its size is a power of two and the cursors are absolute
+  // counts, masked on access. [head_, started_) have begun transmitting;
+  // [started_, tail_) is the drop-tail backlog as of the last admission
+  // check (entries whose txStart has passed leave it lazily).
   std::vector<InFlight> ring_;
   std::uint64_t head_{0};
   std::uint64_t started_{0};
   std::uint64_t tail_{0};
   ByteSize backlogBytes_;  // wire bytes of [started_, tail_)
   TimePoint busyUntil_;    // end of the last accepted transmission
+  // Ring entries awaiting a delivery event, and those of them that would
+  // make the peer node put a packet back onto peer_ (the cut-through
+  // exactness conditions 4 and 5, DESIGN.md §7).
+  std::uint32_t slowInFlight_{0};
+  std::uint32_t turnsInFlight_{0};
   TimePoint tapTime_;
   std::uint64_t queueDrops_{0};
+  std::uint64_t cutThroughs_{0};
   std::vector<Tap> taps_;
 };
 
@@ -155,7 +191,7 @@ class Node {
 
   /// Ingress from a device: local delivery or forward (TTL decrement,
   /// ICMP TimeExceeded on expiry).
-  void receive(Packet p, NetDevice& from);
+  void receive(Packet&& p, NetDevice& from);
 
   using LocalHandler = std::function<void(const Packet&)>;
   /// Installed by the transport mux; receives all locally-addressed
@@ -179,8 +215,14 @@ class Node {
   [[nodiscard]] const std::shared_ptr<void>& transportAttachment() const { return transport_; }
 
  private:
-  void handleLocal(Packet p);
-  void forward(Packet p);
+  friend class NetDevice;
+  // Two devices and nothing local listening: the node only forwards, so a
+  // device feeding it may cut its hop through (NetDevice::cutThroughTarget).
+  [[nodiscard]] bool onlyForwards() const {
+    return devices_.size() == 2 && !localHandler_ && icmpListeners_.empty();
+  }
+  void handleLocal(const Packet& p);
+  void forward(Packet&& p);
   void sendIcmpTimeExceeded(const Packet& expired);
 
   struct RouteEntry {
@@ -193,7 +235,12 @@ class Node {
   std::string name_;
   std::vector<std::unique_ptr<NetDevice>> devices_;
   std::vector<Ipv4Address> addresses_;
-  std::vector<RouteEntry> routes_;  // kept sorted by descending prefixLen
+  // Host (/32) routes, the longest prefixes, are an exact-match index: a
+  // core router holds one per attached host, and scanning them would cost
+  // up to ~90 ns per forwarded packet. The first route added for an
+  // address wins, as in a stable longest-prefix scan.
+  FlatMap64<NetDevice*> hostRoutes_;
+  std::vector<RouteEntry> routes_;  // shorter prefixes, sorted by descending prefixLen
   NetDevice* defaultRoute_{nullptr};
   LocalHandler localHandler_;
   std::vector<IcmpHandler> icmpListeners_;

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "core/experiments.hpp"
 
 namespace msim {
@@ -76,11 +79,15 @@ TEST(TestbedTest, DownlinkNetemShapesWhatCaptureSees) {
 // (the capture agents' own taps included) must leave the event stream, and
 // with it the audit digest, exactly as it is without them. Hubs carries its
 // data over TLS/TCP, so queued and ACK-clocked traffic both pass the taps.
+// A tap is shown the packet's wire time, never earlier than now(): ingress
+// taps fire in the delivery event, or at a cut-through hop (core -> AP ->
+// headset) when the packet is accepted upstream, ahead of its arrival.
 TEST(CaptureTest, ExtraTapsLeaveTheAuditDigestAlone) {
   struct Outcome {
     std::uint64_t digest{0};
     std::uint64_t events{0};
     std::uint64_t tapped{0};
+    std::uint64_t earlyIngress{0};
   };
   auto run = [](bool extraTaps) {
     Outcome out;
@@ -95,8 +102,10 @@ TEST(CaptureTest, ExtraTapsLeaveTheAuditDigestAlone) {
           Simulator* sim = &bed.sim();
           d->addTap([&out, d, sim](const Packet&, TapDir dir) {
             ++out.tapped;
-            EXPECT_TRUE(dir == TapDir::Egress ? d->tapTime() >= sim->now()
-                                              : d->tapTime() == sim->now());
+            if (dir == TapDir::Ingress && d->tapTime() > sim->now()) {
+              ++out.earlyIngress;
+            }
+            EXPECT_GE(d->tapTime(), sim->now());
           });
         }
       }
@@ -116,8 +125,37 @@ TEST(CaptureTest, ExtraTapsLeaveTheAuditDigestAlone) {
   const Outcome plain = run(false);
   const Outcome tapped = run(true);
   EXPECT_GT(tapped.tapped, 10'000u);
+  EXPECT_GT(tapped.earlyIngress, 0u);
   EXPECT_EQ(plain.events, tapped.events);
   EXPECT_EQ(plain.digest, tapped.digest);
+}
+
+// Taps need not come in wire-time order (a cut-through hop fires its ingress
+// taps when the packet is accepted upstream), so an action's first time is
+// the earliest wire time among its packets, whatever order they are tapped in.
+TEST(CaptureTest, FirstActionTimeIsTheEarliestWireTimeNotTheFirstTapped) {
+  Testbed bed{5};
+  bed.deploy(platforms::vrchat());
+  TestUser& u1 = bed.addUser();
+  auto msg = std::make_shared<Message>();
+  msg->actionId = 42;
+  Packet p;
+  p.messages.push_back(msg);
+  const auto at = [](double ms) { return TimePoint::epoch() + Duration::millis(ms); };
+  for (const bool uplink : {false, true}) {
+    u1.capture->onPacket(p, uplink, at(9));
+    u1.capture->onPacket(p, uplink, at(4));
+    u1.capture->onPacket(p, uplink, at(7));
+  }
+  EXPECT_EQ(u1.capture->firstDownlinkAction(42), at(4));
+  EXPECT_EQ(u1.capture->firstUplinkAction(42), at(4));
+  // Records are filed in wire-time order too.
+  const auto& records = u1.capture->records();
+  ASSERT_EQ(records.size(), 6u);
+  EXPECT_TRUE(std::is_sorted(records.begin(), records.end(),
+                             [](const PacketRecord& a, const PacketRecord& b) {
+                               return a.at < b.at;
+                             }));
 }
 
 TEST(CaptureTest, ChannelsClassifiedByServerAddress) {

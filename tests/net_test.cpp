@@ -274,6 +274,15 @@ TEST(RoutingTest, LongestPrefixWins) {
   EXPECT_EQ(r.route(Ipv4Address(10, 1, 0, 5)), &r1);
   EXPECT_EQ(r.route(Ipv4Address(10, 1, 2, 5)), &r2);
   EXPECT_EQ(r.route(Ipv4Address(9, 9, 9, 9)), nullptr);
+  // A host route beats every shorter prefix; the first one added for an
+  // address wins; the default route catches the rest.
+  r.addHostRoute(Ipv4Address(10, 1, 2, 7), r1);
+  r.addHostRoute(Ipv4Address(10, 1, 2, 7), r2);
+  r.setDefaultRoute(r2);
+  EXPECT_EQ(r.route(Ipv4Address(10, 1, 2, 7)), &r1);
+  EXPECT_EQ(r.route(Ipv4Address(10, 1, 2, 8)), &r2);
+  EXPECT_EQ(r.route(Ipv4Address(10, 1, 0, 7)), &r1);
+  EXPECT_EQ(r.route(Ipv4Address(9, 9, 9, 9)), &r2);
 }
 
 TEST(RoutingTest, MultiHopForwardingDecrementsTtl) {
@@ -551,6 +560,50 @@ TEST(NetemDeviceTest, LossyLinkDropsTraffic) {
   EXPECT_LT(received, 150);
 }
 
+// A cut-through admission is made at acceptance upstream under the outbound
+// device's netem config of that moment. Reconfiguring that netem before the
+// packet's arrival at the AP would silently diverge from the one-event-per-
+// hop model, which applies the config at the arrival, so it throws.
+TEST(NetemDeviceTest, ReconfiguringACutThroughTargetAheadOfItsAdmissionThrows) {
+  Simulator sim{7};
+  Network net{sim};
+  Node& r = net.addNode("r");
+  Node& ap = net.addNode("ap");
+  Node& leaf = net.addNode("leaf");
+  r.addAddress(Ipv4Address(10, 0, 0, 1));
+  ap.addAddress(Ipv4Address(10, 2, 0, 1));
+  leaf.addAddress(Ipv4Address(10, 2, 0, 2));
+  LinkConfig shortHop;
+  shortHop.delay = Duration::micros(500);
+  LinkConfig wifi;
+  wifi.delay = Duration::millis(2);
+  auto [u, apUp] = Link::connect(r, ap, shortHop);
+  auto [d, rev] = Link::connect(ap, leaf, wifi);
+  r.setDefaultRoute(u);
+  ap.addHostRoute(leaf.primaryAddress(), d);
+  ap.setDefaultRoute(apUp);
+  leaf.setDefaultRoute(rev);
+  int received = 0;
+  leaf.setLocalHandler([&](const Packet&) { ++received; });
+
+  // Accepted at 0, at the AP ~0.51 ms later.
+  r.sendFromLocal(makeUdpPacket(r.primaryAddress(), leaf.primaryAddress(), 1000));
+  ASSERT_EQ(u.cutThroughs(), 1u);
+  NetemConfig slow;
+  slow.delay = Duration::millis(1);
+  sim.schedule(TimePoint::epoch() + Duration::micros(100), [&] {
+    EXPECT_THROW(d.netem().configure(slow), std::logic_error);
+    EXPECT_THROW(d.netem().reset(), std::logic_error);
+    // Devices whose config the admission did not read stay free to change.
+    EXPECT_NO_THROW(rev.netem().configure(slow));
+  });
+  sim.schedule(TimePoint::epoch() + Duration::millis(1),
+               [&] { EXPECT_NO_THROW(d.netem().configure(slow)); });
+  sim.run();
+  EXPECT_EQ(received, 1);
+  EXPECT_EQ(d.netem().config().delay, slow.delay);
+}
+
 // ------------------------------------------- device model vs closed form
 //
 // A random multi-hop UDP workload through small drop-tail queues, checked
@@ -561,6 +614,46 @@ TEST(NetemDeviceTest, LossyLinkDropsTraffic) {
 // packet's exceed the queue limit. Send times are distinct to the
 // nanosecond and the reference checks that no device ever sees two
 // admissions at one instant, so the reference is free of tie-order choices.
+// (key, nanoseconds): an egress start, an arrival or a delivery.
+using Line = std::pair<std::uint64_t, std::int64_t>;
+
+// One device of the closed-form reference. `ties` counts admissions at the
+// instant of the previous one; the workloads keep it at 0 so the reference
+// is free of tie-order choices.
+struct ClosedFormDevice {
+  explicit ClosedFormDevice(const LinkConfig& config) : cfg{config} {}
+
+  LinkConfig cfg;
+  std::int64_t busyUntil{0};
+  std::int64_t lastAdmission{-1};
+  std::deque<std::pair<std::int64_t, std::int64_t>> backlog;  // start, wire
+  std::int64_t backlogBytes{0};
+  std::uint64_t drops{0};
+  std::uint64_t ties{0};
+  std::vector<Line> starts;
+
+  // Admits `key` at `at`; returns its arrival at the far end, or -1 when
+  // the drop-tail queue drops it.
+  std::int64_t admit(std::int64_t at, std::uint64_t key, std::int64_t wire) {
+    if (at == lastAdmission) ++ties;
+    lastAdmission = at;
+    while (!backlog.empty() && backlog.front().first <= at) {
+      backlogBytes -= backlog.front().second;
+      backlog.pop_front();
+    }
+    if (!backlog.empty() && backlogBytes + wire > cfg.queueLimit.toBytes()) {
+      ++drops;
+      return -1;
+    }
+    const std::int64_t start = std::max(at, busyUntil);
+    busyUntil = start + cfg.rate.transmissionTime(ByteSize::bytes(wire)).toNanos();
+    backlog.emplace_back(start, wire);
+    backlogBytes += wire;
+    starts.emplace_back(key, start);
+    return busyUntil + cfg.delay.toNanos();
+  }
+};
+
 TEST(DeviceModelTest, MultiHopWorkloadMatchesClosedFormReference) {
   constexpr int kSources = 4;
   constexpr int kPerSource = 3000;
@@ -612,7 +705,6 @@ TEST(DeviceModelTest, MultiHopWorkloadMatchesClosedFormReference) {
   next.push_back(-1);
 
   // Observed: every egress (uid, tapTime) per device, every arrival at dst.
-  using Line = std::pair<std::uint64_t, std::int64_t>;
   std::vector<std::vector<Line>> tapped(devs.size());
   for (std::size_t d = 0; d < devs.size(); ++d) {
     NetDevice* dev = devs[d];
@@ -678,40 +770,15 @@ TEST(DeviceModelTest, MultiHopWorkloadMatchesClosedFormReference) {
     todo.push(Admission{snd.atNs, snd.source, snd.uid,
                         snd.payload + wire::kEthIpUdp});
   }
-  struct Ref {
-    std::int64_t busyUntil{0};
-    std::int64_t lastAdmission{-1};
-    std::deque<std::pair<std::int64_t, std::int64_t>> backlog;  // start, wire
-    std::int64_t backlogBytes{0};
-    std::uint64_t drops{0};
-    std::vector<Line> starts;
-  };
-  std::vector<Ref> ref(devs.size());
+  std::vector<ClosedFormDevice> ref;
+  for (const LinkConfig& cfg : cfgs) ref.emplace_back(cfg);
   std::vector<Line> refArrived;
   while (!todo.empty()) {
     const Admission a = todo.top();
     todo.pop();
-    Ref& r = ref[static_cast<std::size_t>(a.dev)];
-    const LinkConfig& cfg = cfgs[static_cast<std::size_t>(a.dev)];
-    ASSERT_NE(a.atNs, r.lastAdmission)
-        << "workload tie at device " << a.dev << "; pick another seed";
-    r.lastAdmission = a.atNs;
-    while (!r.backlog.empty() && r.backlog.front().first <= a.atNs) {
-      r.backlogBytes -= r.backlog.front().second;
-      r.backlog.pop_front();
-    }
-    if (!r.backlog.empty() &&
-        r.backlogBytes + a.wire > cfg.queueLimit.toBytes()) {
-      ++r.drops;
-      continue;
-    }
-    const std::int64_t start = std::max(a.atNs, r.busyUntil);
-    r.busyUntil =
-        start + cfg.rate.transmissionTime(ByteSize::bytes(a.wire)).toNanos();
-    r.backlog.emplace_back(start, a.wire);
-    r.backlogBytes += a.wire;
-    r.starts.emplace_back(a.uid, start);
-    const std::int64_t arrival = r.busyUntil + cfg.delay.toNanos();
+    const std::int64_t arrival =
+        ref[static_cast<std::size_t>(a.dev)].admit(a.atNs, a.uid, a.wire);
+    if (arrival < 0) continue;
     const int to = next[static_cast<std::size_t>(a.dev)];
     if (to < 0) {
       refArrived.emplace_back(a.uid, arrival);
@@ -727,6 +794,7 @@ TEST(DeviceModelTest, MultiHopWorkloadMatchesClosedFormReference) {
     std::sort(ref[d].starts.begin(), ref[d].starts.end());
     EXPECT_EQ(tapped[d], ref[d].starts) << "egress tap times at device " << d;
     EXPECT_EQ(devs[d]->queueDrops(), ref[d].drops) << "drops at device " << d;
+    EXPECT_EQ(ref[d].ties, 0u) << "workload tie at device " << d << "; pick another seed";
     lines += tapped[d].size();
     if (ref[d].drops > 0) ++devicesWithDrops;
   }
@@ -737,6 +805,276 @@ TEST(DeviceModelTest, MultiHopWorkloadMatchesClosedFormReference) {
   // The workload must exercise queueing and drops at several hops.
   EXPECT_GE(devicesWithDrops, 3);
   EXPECT_GT(lines, 20'000u);
+  // r2 has two ports and only forwards, but a packet can reach it from dst
+  // in 50 us, well inside the trunk's 1 ms: its hop is never cut through.
+  EXPECT_EQ(r1out.cutThroughs(), 0u);
+}
+
+// ------------------------------------ cut-through at a two-port transit node
+//
+// An AP-shaped node: sources feed a router r, r feeds the AP over a short hop,
+// and the AP feeds a leaf (the headset) over a long one with a small queue.
+// Downlink packets cut through the AP wherever the exactness rule allows
+// (DESIGN.md §7). Leaf-side pings to the AP, TTL-1 probes that expire there
+// and a hairpin (an address the AP routes back to the leaf) make the AP put
+// packets onto the leaf link itself: they take the slow path, and while one
+// is in flight toward the AP no downlink packet cuts through. Every egress
+// and ingress tapTime(), every arrival and every drop count must equal the
+// one-event-per-hop model in closed form, as in the test above.
+TEST(DeviceModelTest, CutThroughAtTwoPortNodeMatchesClosedFormReference) {
+  constexpr int kSources = 3;
+  constexpr int kPerSource = 1500;
+  constexpr int kLeafSends = 1000;
+  constexpr std::uint64_t kUidBase = std::uint64_t{1} << 40;
+  Simulator sim{1};
+  Network net{sim};
+  Node& r = net.addNode("r");
+  Node& ap = net.addNode("ap");
+  Node& leaf = net.addNode("leaf");
+  const Ipv4Address rAddr(10, 0, 0, 1);
+  const Ipv4Address apAddr(10, 2, 0, 1);
+  const Ipv4Address leafAddr(10, 2, 0, 2);
+  const Ipv4Address hairpinAddr(10, 2, 0, 3);  // the AP routes it to the leaf
+  r.addAddress(rAddr);
+  ap.addAddress(apAddr);
+  leaf.addAddress(leafAddr);
+
+  // Device index: 0..2 the source uplinks, then r -> ap, ap -> leaf,
+  // leaf -> ap and ap -> r.
+  constexpr int kU = kSources;
+  constexpr int kD = kSources + 1;
+  constexpr int kR = kSources + 2;
+  constexpr int kI = kSources + 3;
+  std::vector<NetDevice*> devs;
+  std::vector<LinkConfig> cfgs;
+  std::vector<Node*> sources;
+  for (int i = 0; i < kSources; ++i) {
+    Node& src = net.addNode("s" + std::to_string(i));
+    src.addAddress(Ipv4Address(10, 1, 0, static_cast<std::uint8_t>(i + 1)));
+    LinkConfig cfg;
+    cfg.rate = DataRate::mbps(30 + 10 * i);
+    cfg.delay = Duration::nanos(20'011 + 1'013 * i);
+    cfg.queueLimit = ByteSize::bytes(3'000);
+    auto [up, down] = Link::connect(src, r, cfg);
+    src.setDefaultRoute(up);
+    devs.push_back(&up);
+    cfgs.push_back(cfg);
+    sources.push_back(&src);
+  }
+  LinkConfig shortHop;
+  shortHop.rate = DataRate::mbps(40);
+  shortHop.delay = Duration::nanos(300'007);
+  shortHop.queueLimit = ByteSize::bytes(20'000);
+  LinkConfig wifi;
+  wifi.rate = DataRate::mbps(24);
+  wifi.delay = Duration::nanos(2'000'003);
+  wifi.queueLimit = ByteSize::bytes(3'000);
+  auto [u, apUp] = Link::connect(r, ap, shortHop);
+  auto [d, rev] = Link::connect(ap, leaf, wifi);
+  for (NetDevice* dev : {&u, &d, &rev, &apUp}) devs.push_back(dev);
+  for (const LinkConfig& cfg : {shortHop, wifi, wifi, shortHop}) cfgs.push_back(cfg);
+  r.addHostRoute(leafAddr, u);
+  ap.addHostRoute(leafAddr, d);
+  ap.addHostRoute(hairpinAddr, d);
+  ap.setDefaultRoute(apUp);
+  leaf.setDefaultRoute(rev);
+
+  // Packets the AP generates get simulator uids; they are keyed by the
+  // ICMP type and the sequence number they copy from the leaf's request.
+  auto keyOf = [kUidBase](const Packet& p) -> std::uint64_t {
+    if (p.uid >= kUidBase) return p.uid;
+    const IcmpHeader* icmp = p.icmp();
+    return icmp == nullptr ? 0
+                           : 1'000'000 + std::uint64_t{icmp->seq} * 4 +
+                                 static_cast<std::uint64_t>(icmp->type);
+  };
+
+  // Observed, per transmitting device: egress and peer-ingress (key,
+  // tapTime); arrivals at the leaf and at r.
+  std::vector<std::vector<Line>> egress(devs.size());
+  std::vector<std::vector<Line>> ingress(devs.size());
+  for (std::size_t k = 0; k < devs.size(); ++k) {
+    NetDevice* dev = devs[k];
+    NetDevice* peer = dev->peer();
+    dev->addTap([&, k, dev](const Packet& p, TapDir dir) {
+      EXPECT_GE(dev->tapTime(), sim.now());
+      if (dir == TapDir::Egress) egress[k].emplace_back(keyOf(p), dev->tapTime().toNanos());
+    });
+    peer->addTap([&, k, peer](const Packet& p, TapDir dir) {
+      EXPECT_GE(peer->tapTime(), sim.now());
+      if (dir == TapDir::Ingress) ingress[k].emplace_back(keyOf(p), peer->tapTime().toNanos());
+    });
+  }
+  std::vector<Line> atLeaf;
+  std::vector<Line> atR;
+  leaf.setLocalHandler([&](const Packet& p) { atLeaf.emplace_back(keyOf(p), sim.now().toNanos()); });
+  leaf.addIcmpListener([&](const Packet& p) { atLeaf.emplace_back(keyOf(p), sim.now().toNanos()); });
+  r.setLocalHandler([&](const Packet& p) { atR.emplace_back(keyOf(p), sim.now().toNanos()); });
+
+  // The workload, at pairwise-distinct send times: UDP from the sources to
+  // the leaf; from the leaf, UDP to r (80%) and ICMP echo requests (20%):
+  // pings to the AP, TTL-1 probes toward r and hairpins (TTL 3).
+  enum class Dst : std::uint8_t { Leaf, R, Ap, Hairpin };
+  struct RefPkt {
+    std::uint64_t key;
+    std::int64_t wire;
+    int ttl;
+    Dst dst;
+    std::uint16_t seq;
+  };
+  struct Send {
+    std::int64_t atNs;
+    int dev;  // the sender's uplink
+    RefPkt pkt;
+  };
+  std::vector<Send> sends;
+  std::set<std::int64_t> used;
+  std::uint64_t lcg = 777;
+  auto rnd = [&lcg] {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    return lcg >> 33;
+  };
+  auto sendTime = [&] {
+    std::int64_t t;
+    do {
+      t = static_cast<std::int64_t>(rnd() % 1'000'000'000);
+    } while (!used.insert(t).second);
+    return t;
+  };
+  std::uint64_t uid = kUidBase;
+  for (int s = 0; s < kSources; ++s) {
+    for (int k = 0; k < kPerSource; ++k) {
+      const auto payload = 60 + static_cast<std::int64_t>(rnd() % 1'400);
+      sends.push_back(Send{sendTime(), s,
+                           RefPkt{++uid, payload + wire::kEthIpUdp, 64, Dst::Leaf, 0}});
+    }
+  }
+  std::uint16_t seq = 0;
+  for (int k = 0; k < kLeafSends; ++k) {
+    const auto roll = rnd() % 20;
+    const std::int64_t at = sendTime();
+    if (roll < 16) {
+      const auto payload = 60 + static_cast<std::int64_t>(rnd() % 1'000);
+      sends.push_back(Send{at, kR, RefPkt{++uid, payload + wire::kEthIpUdp, 64, Dst::R, 0}});
+      continue;
+    }
+    const Dst dst = roll < 18 ? Dst::Ap : roll < 19 ? Dst::R : Dst::Hairpin;
+    const int ttl = dst == Dst::Ap ? 64 : dst == Dst::R ? 1 : 3;
+    sends.push_back(Send{at, kR, RefPkt{++uid, 56 + wire::kEthIpIcmp, ttl, dst, ++seq}});
+  }
+  for (const Send& snd : sends) {
+    Packet p;
+    p.uid = snd.pkt.key;
+    p.ttl = static_cast<std::uint8_t>(snd.pkt.ttl);
+    Node* from = &leaf;
+    if (snd.dev < kSources) {
+      from = sources[static_cast<std::size_t>(snd.dev)];
+      p.dst = leafAddr;
+    } else {
+      p.dst = snd.pkt.dst == Dst::R ? rAddr : snd.pkt.dst == Dst::Ap ? apAddr : hairpinAddr;
+    }
+    p.src = from->primaryAddress();
+    if (snd.pkt.seq == 0) {
+      p.proto = IpProto::Udp;
+      p.overheadBytes = wire::kEthIpUdp;
+      p.payloadBytes = ByteSize::bytes(snd.pkt.wire - wire::kEthIpUdp);
+    } else {
+      p.proto = IpProto::Icmp;
+      p.overheadBytes = wire::kEthIpIcmp;
+      p.payloadBytes = ByteSize::bytes(snd.pkt.wire - wire::kEthIpIcmp);
+      IcmpHeader hdr;
+      hdr.type = IcmpType::EchoRequest;
+      hdr.ident = 7;
+      hdr.seq = snd.pkt.seq;
+      p.l4 = hdr;
+    }
+    sim.schedule(TimePoint::fromNanos(snd.atNs),
+                 [from, p = std::move(p)]() mutable { from->sendFromLocal(std::move(p)); });
+  }
+  sim.run();
+
+  // The reference: admissions in time order, each device's closed form, and
+  // what each node does with an arrival.
+  struct Admission {
+    std::int64_t atNs;
+    int dev;
+    RefPkt pkt;
+    bool operator>(const Admission& o) const { return atNs > o.atNs; }
+  };
+  std::priority_queue<Admission, std::vector<Admission>, std::greater<>> todo;
+  for (const Send& snd : sends) todo.push(Admission{snd.atNs, snd.dev, snd.pkt});
+  std::vector<ClosedFormDevice> ref;
+  for (const LinkConfig& cfg : cfgs) ref.emplace_back(cfg);
+  std::vector<std::vector<Line>> refIngress(devs.size());
+  std::vector<Line> refAtLeaf;
+  std::vector<Line> refAtR;
+  auto reply = [](const RefPkt& req, IcmpType type) {
+    const std::int64_t payload =
+        type == IcmpType::EchoReply ? req.wire - wire::kEthIpIcmp : 28;
+    return RefPkt{1'000'000 + std::uint64_t{req.seq} * 4 + static_cast<std::uint64_t>(type),
+                  payload + wire::kEthIpIcmp, 64, Dst::Leaf, req.seq};
+  };
+  while (!todo.empty()) {
+    const Admission a = todo.top();
+    todo.pop();
+    const auto dev = static_cast<std::size_t>(a.dev);
+    const std::int64_t t = ref[dev].admit(a.atNs, a.pkt.key, a.pkt.wire);
+    if (t < 0) continue;
+    refIngress[dev].emplace_back(a.pkt.key, t);
+    RefPkt pkt = a.pkt;
+    --pkt.ttl;  // consulted only where the arrival is forwarded
+    switch (a.dev) {
+      case kU:
+        todo.push(Admission{t, kD, pkt});
+        break;
+      case kD:
+        if (a.pkt.dst == Dst::Leaf) {
+          refAtLeaf.emplace_back(a.pkt.key, t);
+        } else {  // the hairpin, back toward the AP
+          ASSERT_GT(a.pkt.ttl, 1);
+          todo.push(Admission{t, kR, pkt});
+        }
+        break;
+      case kR:
+        if (a.pkt.dst == Dst::Ap) {
+          todo.push(Admission{t, kD, reply(a.pkt, IcmpType::EchoReply)});
+        } else if (a.pkt.ttl <= 1) {
+          todo.push(Admission{t, kD, reply(a.pkt, IcmpType::TimeExceeded)});
+        } else {
+          todo.push(Admission{t, a.pkt.dst == Dst::Hairpin ? kD : kI, pkt});
+        }
+        break;
+      case kI:
+        refAtR.emplace_back(a.pkt.key, t);
+        break;
+      default:  // a source uplink: r forwards to the AP
+        todo.push(Admission{t, kU, pkt});
+        break;
+    }
+  }
+
+  for (std::size_t k = 0; k < devs.size(); ++k) {
+    for (auto* lines : {&egress[k], &ingress[k], &ref[k].starts, &refIngress[k]}) {
+      std::sort(lines->begin(), lines->end());
+    }
+    EXPECT_EQ(egress[k], ref[k].starts) << "egress tap times at device " << k;
+    EXPECT_EQ(ingress[k], refIngress[k]) << "ingress tap times behind device " << k;
+    EXPECT_EQ(devs[k]->queueDrops(), ref[k].drops) << "drops at device " << k;
+    EXPECT_EQ(ref[k].ties, 0u) << "workload tie at device " << k << "; pick another seed";
+  }
+  for (auto* lines : {&atLeaf, &refAtLeaf, &atR, &refAtR}) {
+    std::sort(lines->begin(), lines->end());
+  }
+  EXPECT_EQ(atLeaf, refAtLeaf);
+  EXPECT_EQ(atR, refAtR);
+
+  // Both paths are exercised at the AP, and the cut-through target drops.
+  // The uplink never cuts through: a packet from r reaches the AP in 0.3 ms.
+  EXPECT_GT(u.cutThroughs(), 0u);
+  EXPECT_LT(u.cutThroughs(), ref[kU].starts.size());
+  EXPECT_GT(ref[kD].drops, 0u);
+  EXPECT_EQ(rev.cutThroughs(), 0u);
+  EXPECT_GT(refAtLeaf.size(), 3'000u);
 }
 
 }  // namespace
