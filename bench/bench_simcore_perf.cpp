@@ -59,11 +59,11 @@ BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(100000);
 void BM_EventQueueScheduleRunDistinct(benchmark::State& state) {
   // The all-distinct-timestamp regime: link transmissions, per-connection
   // timeouts, and jittered avatar ticks never share an instant, so every
-  // event pays the queue's per-timestamp cost. The stride walks the whole
-  // timer-wheel hierarchy (and, at 100k events, the far-future overflow
-  // tier). The simulator persists across iterations so the steady-state
-  // heap budget is observable: allocs_per_item must be zero once the slot
-  // pool, wheel lanes, and drain heap are warm.
+  // event pays the queue's per-timestamp cost. At 100k events the stride
+  // spreads them over 170ms, so they start in many different buckets. The
+  // simulator persists across iterations so the steady-state heap budget is
+  // observable: allocs_per_item must be zero once the slot pool, bucket
+  // blocks, and front run are warm.
   const int events = static_cast<int>(state.range(0));
   Simulator sim{1};
   auto scheduleAll = [&] {
@@ -76,8 +76,8 @@ void BM_EventQueueScheduleRunDistinct(benchmark::State& state) {
     }
   };
 
-  // Warm up twice: the first pass sizes the pools, the second catches lane
-  // capacities that depend on the wheel's slot alignment.
+  // Warm up twice: the first pass sizes the pools, the second catches
+  // capacities that depend on where the previous run left the clock.
   for (int pass = 0; pass < 2; ++pass) {
     scheduleAll();
     sim.run();
@@ -99,16 +99,13 @@ void BM_EventQueueScheduleRunDistinct(benchmark::State& state) {
 BENCHMARK(BM_EventQueueScheduleRunDistinct)->Arg(1000)->Arg(100000);
 
 void BM_EventQueueScheduleRunAligned(benchmark::State& state) {
-  // The aligned-tie regime: 100 events share each timestamp and the
-  // timestamps sit exactly on level-0 lane boundaries (1024ns = 1 << 10, the
-  // wheel's finest granularity). This is the shape the wheel tier traded
-  // away: the pre-wheel per-timestamp buckets amortized a 100-way tie into
-  // one heap op (~18M items/s) where the wheel pays per event (~10M on the
-  // reference box — see DESIGN.md). This bench pins the wheel's absolute
-  // rate on that adversarial shape in the committed baseline so the accepted
-  // trade can't silently rot further. Same persistent-simulator +
-  // double-warmup shape as the Distinct variant so allocs_per_item is the
-  // steady-state heap budget (must be zero).
+  // The aligned-tie regime: 100 events share each timestamp, spaced 1024ns
+  // apart. A per-timestamp bucket queue amortizes a 100-way tie into one
+  // heap op; the radix heap pays an append and its re-files per event. This
+  // bench pins the queue's absolute rate on that shape in the committed
+  // baseline. Same persistent-simulator + double-warmup shape as the
+  // Distinct variant so allocs_per_item is the steady-state heap budget
+  // (must be zero).
   const int events = static_cast<int>(state.range(0));
   Simulator sim{1};
   auto scheduleAll = [&] {
@@ -139,15 +136,14 @@ void BM_EventQueueScheduleRunAligned(benchmark::State& state) {
 BENCHMARK(BM_EventQueueScheduleRunAligned)->Arg(1000)->Arg(100000);
 
 void BM_EventQueueCascade(benchmark::State& state) {
-  // Cascade stress: every event is scheduled far enough out that it must be
-  // re-homed down the wheel hierarchy (or through the overflow tier) before
-  // it fires. Measures the amortized cost of cascading, which the plain
-  // distinct-timestamp bench mostly avoids for near-future events.
+  // Refill stress: every event is scheduled far enough out that refills
+  // re-file it several times, bucket by bucket, before it fires. Measures
+  // the amortized cost of re-filing across a 40us..200ms spread.
   const int events = static_cast<int>(state.range(0));
   Simulator sim{1};
   auto scheduleAll = [&] {
     for (int i = 0; i < events; ++i) {
-      // 40us..200ms out: lands across the upper wheel levels and overflow.
+      // 40us..200ms out: spread over a dozen buckets.
       const std::int64_t ns = 40'000 + 2'000 * static_cast<std::int64_t>(i);
       sim.scheduleAfter(Duration::nanos(ns), [] {});
     }
@@ -306,7 +302,7 @@ void BM_InterestGridFanout(benchmark::State& state) {
   // Warm up through two full passes of the measured sender walk: every
   // sender's pose sequence visits both LoD parities (odd sequences forward
   // only the full-rate disc, even ones add the half-rate ring), so the
-  // batch pool, the timer-wheel lanes, and every grid neighborhood reach
+  // batch pool, the event queue's blocks, and every grid neighborhood reach
   // steady state before the measured loop — which must then allocate
   // nothing at all.
   for (std::int64_t w = 0; w < 2 * users; ++w) {
@@ -353,7 +349,7 @@ void BM_SessionChurnSteady(benchmark::State& state) {
   const int sessions = static_cast<int>(state.range(0));
   Simulator sim{1};
   // Token ttl far past the bench horizon: refresh round trips re-arm
-  // far-future wheel timers (a rare, amortized cost) and would smear the
+  // far-future timers (a rare, amortized cost) and would smear the
   // per-delivery budget this row exists to pin.
   session::SessionHub hub{
       sim, session::TokenAuthority{0xbead, Duration::minutes(600)}, {}};
@@ -371,8 +367,8 @@ void BM_SessionChurnSteady(benchmark::State& state) {
   std::int64_t deliveries = 0;
   // Warm until every growth site is at its high-water mark: 300 publishes
   // fill the 256-deep history ring (its storage stops growing), and the 30 s
-  // of sim time they span size the timer-wheel pools across ping rounds and
-  // wheel rotations. Only then is the per-delivery path truly steady-state.
+  // of sim time they span size the event-queue pools across ping rounds.
+  // Only then is the per-delivery path truly steady-state.
   for (int i = 0; i < 300; ++i) {
     hub.publish(1, ++payload, 64);
     sim.runFor(Duration::millis(100));
@@ -514,9 +510,10 @@ void BM_UdpSteadyStatePacketPool(benchmark::State& state) {
   pose->size = ByteSize::bytes(500);
 
   // Warm up: seed the arena freelists, the event pool and the device's
-  // in-flight ring. Each burst starts at a later absolute time and so meets
-  // the wheel's lanes at a new alignment; the kernel's drain vectors reach
-  // their high-water mark only on the third burst, hence several rounds.
+  // in-flight ring. Each burst starts at a later absolute time and so files
+  // into the event queue's buckets differently; its block pool and front
+  // run reach their high-water mark only after a few bursts, hence several
+  // rounds.
   for (int round = 0; round < 4; ++round) {
     for (int i = 0; i < 1000; ++i) client.sendTo(dst, pose->size, pose);
     sim.run();

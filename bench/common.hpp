@@ -8,6 +8,7 @@
 //   MSIM_SEEDS     repetitions per reported cell (default 5; the paper
 //                  averaged "more than 20" — set 20+ for publication runs)
 //   MSIM_MEASURE_S measurement window seconds for sweeps (default 30)
+//   MSIM_CSV_DIR   directory for per-figure series CSVs (unset: none)
 
 #include <charconv>
 #include <cmath>
@@ -86,7 +87,9 @@ inline std::string vsPaper(double measured, double paper) {
 
 /// When MSIM_CSV_DIR is set, writes per-second series as
 /// <dir>/<figure>.csv with a time column — plot-ready data for every
-/// regenerated figure. Returns true if a file was written.
+/// regenerated figure. Returns true if a file was written. A file that
+/// cannot be opened, written or closed prints its path and exits with
+/// status 2, as a malformed knob does.
 inline bool writeSeriesCsv(const std::string& figure,
                            const std::vector<std::string>& columns,
                            const std::vector<std::vector<double>>& series) {
@@ -95,8 +98,12 @@ inline bool writeSeriesCsv(const std::string& figure,
     return false;
   }
   const std::string path = std::string{dir} + "/" + figure + ".csv";
+  const auto fail = [&path] {
+    std::fprintf(stderr, "MSIM_CSV_DIR: cannot write '%s'\n", path.c_str());
+    std::exit(2);
+  };
   FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
+  if (f == nullptr) fail();
   std::fprintf(f, "t_sec");
   for (const auto& c : columns) std::fprintf(f, ",%s", c.c_str());
   std::fprintf(f, "\n");
@@ -109,7 +116,8 @@ inline bool writeSeriesCsv(const std::string& figure,
     }
     std::fprintf(f, "\n");
   }
-  std::fclose(f);
+  const bool writeFailed = std::ferror(f) != 0;
+  if (std::fclose(f) != 0 || writeFailed) fail();
   std::printf("[csv] wrote %s\n", path.c_str());
   return true;
 }

@@ -12,8 +12,8 @@
 // host pointers or wall-clock values, so its digest is comparable across
 // thread counts and processes. It also never sees how the queue *stored* an
 // event: the digest covers dispatch order only, so queue-internal
-// reorganisation (timer-wheel lanes, cascades, overflow promotion — see
-// DESIGN.md §10) is invisible to it, and so is the PDES engine's barrier
+// reorganisation (radix-heap buckets and refills — see DESIGN.md §10) is
+// invisible to it, and so is the PDES engine's barrier
 // structure (slot indices and schedule-sequence counters shift when
 // injections land at different barriers, the stamp does not — see
 // DESIGN.md §11's window-coalescing argument).

@@ -27,8 +27,7 @@ CaptureAgent::CaptureAgent(NetDevice& campusSide,
   });
 }
 
-Channel CaptureAgent::classify(const Packet& p, bool uplink) const {
-  const Ipv4Address server = uplink ? p.dst : p.src;
+Channel CaptureAgent::classify(Ipv4Address server, bool uplink) const {
   // The voice port lives on the data tier; count it as data channel.
   if (deployment_.isDataAddress(server)) {
     return uplink ? Channel::DataUp : Channel::DataDown;
@@ -41,7 +40,7 @@ Channel CaptureAgent::classify(const Packet& p, bool uplink) const {
 
 void CaptureAgent::onPacket(const Packet& p, bool uplink, TimePoint at) {
   ++packets_;
-  const Channel channel = classify(p, uplink);
+  const Channel channel = classify(uplink ? p.dst : p.src, uplink);
   channels_[static_cast<std::size_t>(channel)].addBytes(at, p.wireSize());
   protos_[static_cast<std::size_t>(p.proto) * 2 + (uplink ? 1 : 0)]
       .addBytes(at, p.wireSize());
@@ -108,16 +107,7 @@ std::string CaptureAgent::exportTraceText(std::size_t maxLines) const {
   for (const PacketRecord& r : records_) {
     if (maxLines > 0 && lines >= maxLines) break;
     char buf[160];
-    const Channel channel = [&] {
-      const Ipv4Address server = r.uplink ? r.dst : r.src;
-      if (deployment_.isDataAddress(server)) {
-        return r.uplink ? Channel::DataUp : Channel::DataDown;
-      }
-      if (deployment_.isControlAddress(server)) {
-        return r.uplink ? Channel::ControlUp : Channel::ControlDown;
-      }
-      return Channel::Other;
-    }();
+    const Channel channel = classify(r.uplink ? r.dst : r.src, r.uplink);
     std::snprintf(buf, sizeof buf, "%12.6f %-4s %s:%u > %s:%u %s %lldB [%s]\n",
                   r.at.toSeconds(), r.uplink ? "UP" : "DOWN",
                   r.src.toString().c_str(), r.srcPort,

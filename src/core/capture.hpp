@@ -85,7 +85,8 @@ class CaptureAgent {
   void onPacket(const Packet& p, bool uplink, TimePoint at);
 
  private:
-  [[nodiscard]] Channel classify(const Packet& p, bool uplink) const;
+  /// The channel of a packet to (uplink) or from `server`.
+  [[nodiscard]] Channel classify(Ipv4Address server, bool uplink) const;
 
   const PlatformDeployment& deployment_;
   // Both key spaces are tiny and dense (5 channels, 3 protocols x 2

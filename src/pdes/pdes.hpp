@@ -5,7 +5,7 @@
 //
 // core/seedsweep parallelizes *across* runs; this engine parallelizes
 // *inside* a run. A run is split into partitions — logical processes — each
-// owning a private Simulator (its own timer-wheel event queue, clock, RNG
+// owning a private Simulator (its own event queue, clock, RNG
 // stream, and audit chain). Partitions interact only through declared
 // directed links, each carrying a strictly positive `lookahead`: a promise
 // that anything sent on the link arrives at least that much simulated time

@@ -4,27 +4,24 @@
 //
 // Design notes:
 //  * Deterministic: events at equal timestamps fire in scheduling order.
-//    Every scheduled event carries a monotone sequence stamp, and dispatch
-//    order is exactly (time, sequence) — FIFO-within-time by construction,
-//    regardless of which queue tier an event waited in.
-//  * O(1) scheduling at paper scale: the front-end is a hierarchical timer
-//    wheel (power-of-two lanes, ~1us granularity at level 0 scaling 8x per
-//    level, ~134ms horizon) so the dominant all-distinct-timestamp regime
-//    (link transmissions, per-connection timeouts, jittered avatar ticks)
-//    pays one lane append per schedule — no hash probe, no big-heap sift.
-//    Far-future events park in an overflow tier (a binary min-heap by
-//    (time, seq)) and cascade down the wheel levels as the clock advances;
-//    see DESIGN.md §10 for the cascade rules.
+//    Dispatch order is exactly (time, schedule order), by construction of
+//    the queue rather than by a stored sequence stamp.
+//  * One queue: a monotone radix heap keyed by event time (64 buckets by
+//    the highest bit where a time differs from the last refill's, plus a
+//    front run of the entries due at that time). Scheduling is one bucket
+//    append; each refill re-files one bucket's entries into strictly lower
+//    buckets, so an entry moves at most 63 times over its life and far
+//    fewer in practice. See DESIGN.md §10 for the invariants.
 //  * Allocation-free hot path: callbacks live in a generation-counted slot
 //    pool (recycled via a free list) and are stored as small-buffer
-//    UniqueFunctions; wheel lanes, the dispatch drain run, and the overflow
-//    heap all recycle their storage, so steady-state schedule/fire cycles
-//    never touch the allocator.
+//    UniqueFunctions; bucket blocks and the front run recycle their
+//    storage, so steady-state schedule/fire cycles never touch the
+//    allocator.
 //  * Cancellable: schedule() returns an EventId = {slot, generation};
 //    cancel() frees the slot in O(1) and bumps its generation, so the id
-//    (and any stale wheel/overflow entry) is dead immediately — valid() is
-//    exact, not lazy. Tombstones are dropped at the first cascade that
-//    touches them instead of surviving until their due time.
+//    (and its queue entry) is dead immediately — valid() is exact, not
+//    lazy. The entry itself stays as a tombstone until a refill or the
+//    dispatch loop touches it.
 //  * Single-threaded by design (CP.1 notwithstanding): one Simulator is one
 //    logical process and is never shared across threads. Parallelism lives
 //    a layer up — across seeds (core/seedsweep.hpp) or across partitions of
@@ -72,9 +69,7 @@ class Simulator {
  public:
   using Callback = UniqueFunction;
 
-  explicit Simulator(std::uint64_t seed = 1)
-      : wheelLanes_(static_cast<std::size_t>(kWheelLevels) * kWheelSlots),
-        rng_{seed} {}
+  explicit Simulator(std::uint64_t seed = 1) : rng_{seed} {}
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -112,12 +107,11 @@ class Simulator {
 
   /// A conservative lower bound on the time of the next event run() would
   /// dispatch: never later than the true next dispatch time, and exact
-  /// whenever the earliest pending tier holds a live entry (the bound is
-  /// only coarse — a lane-window start — when the nearest occupied lane
-  /// contains nothing but tombstones of cancelled events, which a
-  /// subsequent run() past that window cleans up). TimePoint::max() when
-  /// idle. This is the earliest-output-time probe the PDES engine uses to
-  /// compute safe execution bounds; it pops nothing and is O(lane scan).
+  /// unless the earliest pending entry is the tombstone of a cancelled
+  /// event (the bound then stays at that entry's time until a run() past
+  /// it cleans it up). TimePoint::max() when idle. This is the
+  /// earliest-output-time probe the PDES engine uses to compute safe
+  /// execution bounds; it pops nothing.
   [[nodiscard]] TimePoint nextEventTimeLowerBound() const;
 
   /// True if no pending (non-cancelled) events remain. O(1).
@@ -134,20 +128,9 @@ class Simulator {
   /// this across runs).
   [[nodiscard]] std::uint64_t executedEvents() const { return executed_; }
 
-  // ---- queue introspection (bench/test probes; diagnostic only) ----------
-
-  /// Entries currently resident in the timer-wheel tiers — wheel lanes plus
-  /// the dispatch drain run — including not-yet-reclaimed tombstones of
-  /// cancelled events.
-  [[nodiscard]] std::size_t wheelEvents() const { return wheelEvents_; }
-
-  /// Entries currently parked in the far-future overflow heap, including
-  /// tombstones.
-  [[nodiscard]] std::size_t overflowEvents() const { return overflow_.size(); }
-
-  /// Cumulative count of live entries re-homed as the clock advanced:
-  /// overflow → wheel promotions plus wheel-level cascades. Tombstones
-  /// dropped mid-cascade do not count.
+  /// Cumulative count of live entries re-filed by queue refills (into a
+  /// lower bucket or the front run) as the clock advanced; a bench/test
+  /// probe. Tombstones dropped by a refill do not count.
   [[nodiscard]] std::uint64_t cascades() const { return cascades_; }
 
   /// Per-simulation unique id source (packet uids, connection serials):
@@ -208,10 +191,9 @@ class Simulator {
   struct Slot {
     std::uint32_t generation{0};
     bool live{false};
-    std::uint64_t seq{0};  // schedule-order stamp; total order is (time, seq)
     // Audit identity: local schedule count for ordinary events, the
     // caller's canonical stamp for scheduleExternal injections. Folded by
-    // the auditor instead of (slot, generation)/(seq), which shift with
+    // the auditor instead of (slot, generation), which shift with
     // injection timing.
     std::uint64_t auditStamp{0};
     Callback cb;
@@ -224,143 +206,87 @@ class Simulator {
   static constexpr std::uint32_t kSlotChunkShift = 10;
   static constexpr std::uint32_t kSlotChunkSize = 1u << kSlotChunkShift;
 
-  // ---- hierarchical timer wheel (the near-future fast path) --------------
+  // ---- the radix heap ------------------------------------------------------
   //
-  // kWheelLevels lanes-of-lanes: level L buckets time by
-  // (t >> (kWheelBaseShift + L*kWheelLevelShiftStep)), i.e. ~1us lanes at
-  // level 0 widening 8x per level, 256 lanes each, for a ~134ms horizon.
-  // schedule() appends a WheelEntry to the lowest level whose lane width
-  // can still express the event's distance from the cursor — O(1), no hash
-  // probe, no sift. An occupancy bitmap (4 words per level) finds the next
-  // populated lane with a handful of ctz scans.
+  // last_ is the time of the last refill, and no pending entry is earlier.
+  // The front run holds the entries due exactly at last_, in schedule
+  // order; dispatch consumes it through frontHead_. Every later entry sits
+  // in bucket bit_width(t ^ last_): the bucket of the highest bit at which
+  // its time differs from last_ (1..63, as times are non-negative). Every
+  // time in a lower bucket precedes every time in a higher one. When the
+  // front run is spent, refill() takes the lowest non-empty bucket, moves
+  // last_ to its earliest live time, and re-files its entries: those at the
+  // new last_ into the front run, the rest into strictly lower buckets.
+  // Higher buckets keep their index, since the new last_ agrees with the
+  // old one on every bit above the refilled bucket's.
   //
-  // Dispatch runs through the "drain run": when the cursor enters a level-0
-  // lane, the lane's entries are flushed into one vector, sorted once by
-  // (time, seq), and consumed through a head index — distinct timestamps by
-  // time, equal timestamps by schedule order, O(1) per event after the
-  // sort. The sort itself is skipped when the flush arrives already
-  // ordered, which is exactly the same-time burst case (lane FIFO order is
-  // seq order), so fan-out bursts never pay a comparison-based structure at
-  // all. Events scheduled *into the current lane* while it drains (a
-  // callback scheduling at now, a pre-run schedule near the epoch) binary-
-  // insert into the unconsumed suffix; their fresh sequence stamps place
-  // them behind every pending same-time entry, which is the FIFO contract.
-  // A higher-level lane reached by the cursor cascades: its entries re-home
-  // into finer levels (or the drain run) with their exact times, so
-  // nothing is ever dispatched at lane granularity. Events beyond the
-  // horizon park in the overflow heap and are promoted entry by entry, in
-  // (time, seq) order, as the cursor advances. Cancelled entries are
-  // tombstones wherever they sit (the slot generation is the liveness
-  // oracle); any cascade, flush or promotion that touches one drops it on
-  // the spot.
-  struct WheelEntry {
+  // Schedule order needs no stamp. A bucket gains entries only from
+  // schedule() (newest last) or from a refill of a higher bucket while it is
+  // empty itself (in that bucket's order), so every bucket chain, and the
+  // front run, lists its entries in schedule order.
+  struct Entry {
     std::int64_t timeNs;
-    std::uint64_t seq;
     std::uint32_t slot;
     std::uint32_t gen;
   };
-  // Lane storage: fixed-size entry blocks drawn from a shared pool and
-  // chained per lane. Per-lane vectors would pin their high-water capacity
-  // to one lane while the absolute-time -> lane mapping drifts from run to
-  // run, so some lane somewhere would reallocate on nearly every pass;
-  // pooled blocks make the steady-state footprint a function of the peak
-  // number of concurrent entries only, which is what lets warm
-  // schedule/fire cycles stay allocation-free.
-  static constexpr std::uint32_t kLaneBlockCap = 16;
+  // Bucket storage: fixed-size entry blocks drawn from one shared pool and
+  // chained per bucket. Per-bucket vectors would each keep their
+  // high-water capacity; pooled blocks make the footprint a function of
+  // the peak number of pending entries only, and keep warm schedule/fire
+  // cycles allocation-free.
+  static constexpr std::uint32_t kBlockCap = 16;
   static constexpr std::uint32_t kNoBlock = 0xffffffffu;
-  struct LaneBlock {
-    std::array<WheelEntry, kLaneBlockCap> items;
+  struct Block {
+    std::array<Entry, kBlockCap> items;
     std::uint32_t next{kNoBlock};
   };
   // Blocks live in fixed-size chunks with stable addresses (the slot-pool
   // idiom): growing the pool allocates one chunk and never copies resident
-  // entries, which keeps cold-start scheduling cheap.
-  static constexpr std::uint32_t kLaneBlockChunkShift = 6;
-  static constexpr std::uint32_t kLaneBlockChunkSize = 1u
-                                                       << kLaneBlockChunkShift;
-  struct Lane {
+  // entries.
+  static constexpr std::uint32_t kBlockChunkShift = 6;
+  static constexpr std::uint32_t kBlockChunkSize = 1u << kBlockChunkShift;
+  struct Bucket {
     std::uint32_t head{kNoBlock};
     std::uint32_t tail{kNoBlock};
     std::uint32_t tailCount{0};
+    // The earliest entry filed since the bucket was last emptied. If it was
+    // cancelled since, its time is early, never late.
+    Entry min{};
   };
-  static constexpr int kWheelLevels = 4;
-  static constexpr int kWheelSlotBits = 8;  // 256 lanes per level
-  static constexpr std::uint32_t kWheelSlots = 1u << kWheelSlotBits;
-  static constexpr std::uint32_t kWheelSlotMask = kWheelSlots - 1;
-  static constexpr std::uint32_t kWheelWordsPerLevel = kWheelSlots / 64;
-  static constexpr int kWheelBaseShift = 10;       // level-0 lane = 1024ns
-  static constexpr int kWheelLevelShiftStep = 3;   // 8x wider per level
-  [[nodiscard]] static constexpr int wheelShift(int level) {
-    return kWheelBaseShift + kWheelLevelShiftStep * level;
-  }
-  static constexpr int kWheelTopShift =
-      kWheelBaseShift + kWheelLevelShiftStep * (kWheelLevels - 1);
-
-  // Overflow tier (far-future events, beyond the wheel horizon): a binary
-  // min-heap of WheelEntry by (time, seq), kept with std::push_heap and
-  // std::pop_heap under this "later than" comparator.
-  [[nodiscard]] static bool laterThan(const WheelEntry& a,
-                                      const WheelEntry& b) {
-    return a.timeNs > b.timeNs || (a.timeNs == b.timeNs && a.seq > b.seq);
-  }
+  static constexpr int kBuckets = 64;
 
   [[nodiscard]] Slot& slotAt(std::uint32_t i) const {
     return slotChunks_[i >> kSlotChunkShift][i & (kSlotChunkSize - 1)];
   }
+  [[nodiscard]] bool isLive(const Entry& e) const {
+    const Slot& slot = slotAt(e.slot);
+    return slot.generation == e.gen && slot.live;
+  }
   std::uint32_t acquireSlot();
   void releaseSlot(std::uint32_t index);
-
-  // Wheel internals (simulator.cpp): lane/bitmap addressing, the sorted
-  // (time, seq) drain run, and the cascade machinery.
-  [[nodiscard]] static constexpr std::size_t laneIndex(int level,
-                                                       std::uint32_t lane) {
-    return static_cast<std::size_t>(level) * kWheelSlots + lane;
+  [[nodiscard]] Block& blockAt(std::uint32_t i) const {
+    return blockChunks_[i >> kBlockChunkShift][i & (kBlockChunkSize - 1)];
   }
-  void drainAppend(const WheelEntry& e);        // advance path: sort deferred
-  void drainInsertSorted(const WheelEntry& e);  // schedule path: keeps order
-  [[nodiscard]] LaneBlock& laneBlockAt(std::uint32_t i) const {
-    return laneBlockChunks_[i >> kLaneBlockChunkShift]
-                           [i & (kLaneBlockChunkSize - 1)];
-  }
-  std::uint32_t acquireLaneBlock();
-  void wheelInsert(const WheelEntry& e, bool fromAdvance);
-  [[nodiscard]] int nextOccupiedDistance(int level, std::uint32_t from) const;
-  void flushLane(int level, std::uint32_t lane);
+  std::uint32_t acquireBlock();
   EventId scheduleStamped(TimePoint t, std::uint64_t stamp, Callback cb);
-  void directDrainLane(int level, std::uint32_t lane);
-  void cascadeLane(int level, std::uint32_t lane);
-  void promoteOverflow();
-  bool advanceWheel(std::int64_t limitNs);
+  void file(const Entry& e);
+  bool refill(std::int64_t limitNs);
 
   TimePoint now_{TimePoint::epoch()};
   std::uint64_t executed_{0};
   std::uint64_t lastId_{0};
-  std::uint64_t seqCounter_{0};
   std::uint64_t localStampCounter_{0};  // audit identities for local events
   std::size_t liveEvents_{0};
   std::size_t pendingEntries_{0};
-  // Wheel state: per-lane FIFO block chains (level-major), occupancy bitmaps,
-  // the dispatch drain run (sorted vector + consumption head), and the
-  // lane-aligned cursor. The cursor is internal bookkeeping — it may run
-  // ahead of now_ (which only moves at dispatch) but never past the next
-  // undispatched event's lane.
-  std::vector<Lane> wheelLanes_;
-  std::vector<std::unique_ptr<LaneBlock[]>> laneBlockChunks_;
-  std::uint32_t laneBlockCount_{0};
-  std::vector<std::uint32_t> freeLaneBlocks_;
-  std::array<std::uint64_t, kWheelLevels * kWheelWordsPerLevel> wheelBits_{};
-  // Entries resident per level, so the advance scan skips empty levels
-  // without touching their bitmaps (sparse workloads keep one event in one
-  // level; scanning all four would dominate the per-event cost).
-  std::array<std::size_t, kWheelLevels> wheelLevelCount_{};
-  std::vector<WheelEntry> drainRun_;
-  std::vector<WheelEntry> wheelScratch_;  // directDrainLane staging
-  std::size_t drainHead_{0};
-  bool drainSortPending_{false};
-  std::int64_t wheelNowNs_{0};
-  std::size_t wheelEvents_{0};
+  std::int64_t last_{0};
+  std::vector<Entry> front_;
+  std::size_t frontHead_{0};
+  std::array<Bucket, kBuckets> buckets_{};
+  std::uint64_t occupied_{0};  // bit b set while bucket b holds entries
+  std::vector<std::unique_ptr<Block[]>> blockChunks_;
+  std::uint32_t blockCount_{0};
+  std::vector<std::uint32_t> freeBlocks_;
   std::uint64_t cascades_{0};
-  std::vector<WheelEntry> overflow_;  // min-heap by (time, seq); laterThan
   std::vector<std::unique_ptr<Slot[]>> slotChunks_;
   std::uint32_t slotCount_{0};
   std::vector<std::uint32_t> freeSlots_;

@@ -61,12 +61,14 @@ TEST(DetlintR1, OrderedContainersAreClean) {
 }
 
 TEST(DetlintR1, TimerWheelLaneIdiomsAreClean) {
-  // Representative of the simulator's wheel front-end: occupancy bitmaps,
-  // shift-derived lane indices, and pooled block chains. None of it touches
-  // iteration-order-sensitive containers, ambient time, or pointer keys, so
-  // detlint must stay quiet on the style the hot path is written in.
+  // Representative of the simulator's event-queue idioms: occupancy
+  // bitmaps, shift- and bit-width-derived indices, and pooled block chains.
+  // None of it touches iteration-order-sensitive containers, ambient time,
+  // or pointer keys, so detlint must stay quiet on the style the hot path
+  // is written in.
   const auto fs = scan(
       "std::array<std::uint64_t, 16> bits{};\n"
+      "std::size_t b = std::bit_width(std::uint64_t(timeNs ^ last));\n"
       "std::uint32_t lane = (timeNs >> shift) & 255u;\n"
       "bits[lane >> 6] |= 1ull << (lane & 63u);\n"
       "int gap = std::countr_zero(word >> bit);\n"

@@ -1,9 +1,9 @@
-// Timer-wheel-specific coverage for the Simulator event queue: dispatch
-// order across the wheel/overflow boundary, cascade correctness, the
-// schedule-while-draining paths, and the introspection counters. The
-// behavioural contract under test is single: dispatch order is exactly
-// (time, schedule order) no matter which tier an event waited in or how
-// many times it was re-homed on the way down the wheel levels.
+// Coverage for the Simulator event queue: dispatch order across near and
+// far events, refills under run(limit) slices, scheduling into the instant
+// being dispatched, and the introspection counters. The behavioural
+// contract under test is single: dispatch order is exactly (time, schedule
+// order), and the clock never steps back. The suite names predate the
+// radix heap and are kept so test ids stay stable.
 
 #include <algorithm>
 #include <cstdint>
@@ -19,13 +19,13 @@ namespace {
 
 TimePoint at(std::int64_t ns) { return TimePoint::epoch() + Duration::nanos(ns); }
 
-// ---- golden cascade-heavy trace -------------------------------------------
+// ---- golden refill-heavy trace ---------------------------------------------
 //
-// Events pinned across every tier: the current lane, a far level-0 lane, two
-// level-1 windows, a shared level-2 window, and the far-future overflow tier
-// (beyond the ~134ms horizon), with exact-tie pairs in both the wheel and
-// overflow. The expected order is written out explicitly; if a cascade or a
-// promotion ever reordered entries, this is the test that names the victim.
+// Events spread from 0 to 200ms, so they start in buckets from the lowest to
+// bit 28 and most are re-filed several times on the way to dispatch, with
+// exact-tie pairs near and far. The expected order is written out
+// explicitly; if a refill ever reordered entries, this is the test that
+// names the victim.
 TEST(TimerWheelGolden, CascadeHeavyScenarioFiresInPinnedOrder) {
   Simulator sim;
   std::vector<std::string> fired;
@@ -38,21 +38,19 @@ TEST(TimerWheelGolden, CascadeHeavyScenarioFiresInPinnedOrder) {
   };
 
   // Scheduling order is deliberately scrambled relative to time order.
-  sim.schedule(at(200'000'000), ev("i"));  // overflow
-  sim.schedule(at(300'000), ev("e"));      // level 1
-  sim.schedule(at(500), ev("b"));          // current lane
-  sim.schedule(at(5'000'000), ev("g"));    // level 2
-  sim.schedule(at(100'000), ev("d"));      // level 0
-  sim.schedule(at(200'001'000), ev("j"));  // overflow, distinct time
+  sim.schedule(at(200'000'000), ev("i"));  // far
+  sim.schedule(at(300'000), ev("e"));
+  sim.schedule(at(500), ev("b"));          // near
+  sim.schedule(at(5'000'000), ev("g"));
+  sim.schedule(at(100'000), ev("d"));
+  sim.schedule(at(200'001'000), ev("j"));  // far, distinct time
   sim.schedule(at(500), ev("c"));          // exact tie with b, scheduled later
-  sim.schedule(at(5'030'000), ev("h"));    // level 2, same window as g
+  sim.schedule(at(5'030'000), ev("h"));    // same bucket as g
   sim.schedule(at(0), ev("a"));            // immediate
-  sim.schedule(at(200'000'000), ev("k"));  // overflow, exact tie with i
-  sim.schedule(at(304'000), ev("f"));      // level 1, same window as e
+  sim.schedule(at(200'000'000), ev("k"));  // far, exact tie with i
+  sim.schedule(at(304'000), ev("f"));      // same bucket as e
 
   EXPECT_EQ(sim.queuedEvents(), 11u);
-  EXPECT_EQ(sim.wheelEvents() + sim.overflowEvents(), sim.queuedEvents());
-  EXPECT_EQ(sim.overflowEvents(), 3u);  // i, j, k park beyond the horizon
 
   EXPECT_EQ(sim.run(), 11u);
 
@@ -64,13 +62,11 @@ TEST(TimerWheelGolden, CascadeHeavyScenarioFiresInPinnedOrder) {
       5'000'000, 5'030'000, 200'000'000, 200'000'000, 200'001'000};
   EXPECT_EQ(firedAt, expectedAt);
   EXPECT_TRUE(sim.idle());
-  EXPECT_EQ(sim.wheelEvents(), 0u);
-  EXPECT_EQ(sim.overflowEvents(), 0u);
-  EXPECT_GT(sim.cascades(), 0u);  // overflow promotion counts as re-homing
+  EXPECT_GT(sim.cascades(), 0u);  // every refill re-files live entries
 }
 
 // The same scenario chopped into run(limit) windows must dispatch the same
-// sequence: parking the cursor at a limit and resuming later may not
+// sequence: stopping a refill at a limit and resuming later may not
 // reorder, duplicate, or drop anything.
 TEST(TimerWheelGolden, ChunkedRunsMatchSingleRun) {
   auto script = [](Simulator& sim, std::vector<std::string>& fired) {
@@ -99,9 +95,9 @@ TEST(TimerWheelGolden, ChunkedRunsMatchSingleRun) {
   std::vector<std::string> chunkedFired;
   script(chunked, chunkedFired);
   std::size_t total = 0;
-  // Limits chosen to split lanes mid-window (302µs cuts between e and f,
-  // which share a level-1 lane) and to land exactly on an event time
-  // (5.03ms, inclusive bound).
+  // Limits chosen to split a bucket (302µs cuts between e and f, which
+  // share one) and to land exactly on an event time (5.03ms, inclusive
+  // bound).
   for (const std::int64_t limitNs :
        {1'000LL, 150'000LL, 302'000LL, 5'030'000LL, 199'999'999LL}) {
     total += chunked.run(at(limitNs));
@@ -112,19 +108,17 @@ TEST(TimerWheelGolden, ChunkedRunsMatchSingleRun) {
   EXPECT_EQ(chunkedFired, wholeFired);
 }
 
-// Scheduling into the lane that is currently draining (after a limited run
-// parked mid-lane) must interleave by time with the entries still pending
-// in that lane.
+// Scheduling after a limited run stopped between two close events must
+// interleave by time with the entry still pending.
 TEST(TimerWheel, ScheduleIntoDrainingLaneKeepsTimeOrder) {
   Simulator sim;
   std::vector<std::string> fired;
   auto ev = [&fired](const char* tag) {
     return [&fired, tag] { fired.push_back(tag); };
   };
-  // Both in the level-0 lane [2048, 3072).
   sim.schedule(at(2100), ev("e1"));
   sim.schedule(at(2900), ev("e2"));
-  EXPECT_EQ(sim.run(at(2500)), 1u);  // e1 fired, e2 still pending in-lane
+  EXPECT_EQ(sim.run(at(2500)), 1u);  // e1 fired, e2 still pending
   EXPECT_EQ(sim.now(), at(2500));
   sim.schedule(at(2600), ev("e3"));  // lands between the limit and e2
   sim.schedule(at(2900), ev("e4"));  // exact tie with pending e2: files after
@@ -132,20 +126,19 @@ TEST(TimerWheel, ScheduleIntoDrainingLaneKeepsTimeOrder) {
   EXPECT_EQ(fired, (std::vector<std::string>{"e1", "e3", "e2", "e4"}));
 }
 
-// A callback scheduling near-now events can force a genuine merge cascade:
-// a level-1 window with a freshly occupied level-0 window starting inside
-// it may not drain whole.
+// A callback scheduling a near-now event lands it between the pending
+// events and the last refill's time; it must still fire after the
+// earlier pending event.
 TEST(TimerWheel, MidRunScheduleForcesMergeCascade) {
   Simulator sim;
   std::vector<std::string> fired;
   auto ev = [&fired](const char* tag) {
     return [&fired, tag] { fired.push_back(tag); };
   };
-  sim.schedule(at(262'500), ev("late"));   // level 1 from a cold cursor
+  sim.schedule(at(262'500), ev("late"));
   sim.schedule(at(260'000), [&] {
     fired.push_back("early");
-    // Now within level-0 reach of 263µs: occupies a level-0 window that
-    // starts inside late's level-1 window, so that window is not clear.
+    // Due at 263µs, just after late.
     sim.scheduleAfter(Duration::nanos(3'000), ev("wedge"));
   });
   sim.run();
@@ -155,35 +148,27 @@ TEST(TimerWheel, MidRunScheduleForcesMergeCascade) {
 
 TEST(TimerWheel, CountersTrackTiersAndDrainToZero) {
   Simulator sim;
-  EXPECT_EQ(sim.wheelEvents(), 0u);
-  EXPECT_EQ(sim.overflowEvents(), 0u);
   EXPECT_EQ(sim.cascades(), 0u);
 
-  sim.scheduleAfter(Duration::micros(50), [] {});    // wheel
-  sim.scheduleAfter(Duration::millis(500), [] {});   // beyond horizon
-  EXPECT_EQ(sim.wheelEvents(), 1u);
-  EXPECT_EQ(sim.overflowEvents(), 1u);
+  sim.scheduleAfter(Duration::micros(50), [] {});
+  sim.scheduleAfter(Duration::millis(500), [] {});
 
   const auto cancelled = sim.scheduleAfter(Duration::millis(600), [] {});
-  EXPECT_EQ(sim.overflowEvents(), 2u);
   sim.cancel(cancelled);
-  // Tombstones stay resident until a cascade or drain touches them.
-  EXPECT_EQ(sim.overflowEvents(), 2u);
+  // Tombstones stay resident until a refill or dispatch touches them.
   EXPECT_EQ(sim.queuedEvents(), 3u);
   EXPECT_EQ(sim.liveEvents(), 2u);
 
   sim.run();
   EXPECT_TRUE(sim.idle());
-  EXPECT_EQ(sim.wheelEvents(), 0u);
-  EXPECT_EQ(sim.overflowEvents(), 0u);
   EXPECT_EQ(sim.queuedEvents(), 0u);
-  EXPECT_GE(sim.cascades(), 1u);  // the 500ms event was promoted inward
+  EXPECT_GE(sim.cascades(), 1u);  // the 500ms event was re-filed by a refill
 }
 
 // ---- randomized property test against an order oracle ---------------------
 //
-// Random interleavings of schedule / scheduleAfter / cancel across every
-// tier (current lane, wheel levels, overflow), with callbacks that schedule
+// Random interleavings of schedule / scheduleAfter / cancel from 0 to
+// 530ms ahead (nanoseconds to hundreds of milliseconds), with callbacks that schedule
 // and cancel mid-run. The oracle is the contract itself: non-cancelled
 // events sorted stably by (clamped) time — i.e. FIFO within a timestamp —
 // must equal the observed dispatch sequence exactly.
@@ -211,13 +196,12 @@ struct PropertyHarness {
 
   std::int64_t pickDelay() {
     switch (rnd() % 5) {
-      case 0: return static_cast<std::int64_t>(rnd() % 2'000);        // lane
-      case 1: return static_cast<std::int64_t>(rnd() % 300'000);      // L0/L1
-      case 2: return static_cast<std::int64_t>(rnd() % 10'000'000);   // L2
-      case 3: return static_cast<std::int64_t>(rnd() % 130'000'000);  // L3
+      case 0: return static_cast<std::int64_t>(rnd() % 2'000);
+      case 1: return static_cast<std::int64_t>(rnd() % 300'000);
+      case 2: return static_cast<std::int64_t>(rnd() % 10'000'000);
+      case 3: return static_cast<std::int64_t>(rnd() % 130'000'000);
       default:
-        return 130'000'000 +
-               static_cast<std::int64_t>(rnd() % 400'000'000);  // overflow
+        return 130'000'000 + static_cast<std::int64_t>(rnd() % 400'000'000);
     }
   }
 
@@ -274,19 +258,15 @@ TEST(TimerWheelProperty, RandomInterleavingsMatchStableSortOracle) {
     PropertyHarness h{seed, /*extra=*/400};
     for (int i = 0; i < 400; ++i) h.scheduleOne();
     for (int i = 0; i < 100; ++i) h.cancelRandom();
-    EXPECT_EQ(h.sim.wheelEvents() + h.sim.overflowEvents(),
-              h.sim.queuedEvents());
     h.sim.run();
     ASSERT_TRUE(h.sim.idle()) << "seed " << seed;
     EXPECT_EQ(h.fired, h.expected()) << "seed " << seed;
-    EXPECT_EQ(h.sim.wheelEvents(), 0u);
-    EXPECT_EQ(h.sim.overflowEvents(), 0u);
   }
 }
 
 // The same property driven through run(limit) slices: chunked execution is
 // the common mode for platform sims (one tick at a time) and exercises
-// cursor parking plus the schedule-into-parked-lane path repeatedly.
+// refills stopped at the limit plus schedules after a stopped run.
 TEST(TimerWheelProperty, ChunkedRunsMatchOracleToo) {
   for (std::uint64_t seed = 10; seed <= 13; ++seed) {
     PropertyHarness h{seed, /*extra=*/200};
@@ -302,11 +282,9 @@ TEST(TimerWheelProperty, ChunkedRunsMatchOracleToo) {
 }
 
 // Far-future events that each schedule one near follow-up. The follow-ups
-// land in fine lanes right at the cursor while coarser lanes (and the
-// overflow tier) keep cascading into it, so window-start ties between a
-// cascading lane and a finer occupied lane come up thousands of times per
-// run. Every such tie must merge before dispatch: the clock never steps
-// back, and dispatch is exactly (time, schedule order).
+// land in low buckets just ahead of the clock while far entries keep being
+// re-filed around them. The clock never steps back, and dispatch is exactly
+// (time, schedule order).
 TEST(TimerWheelProperty, NearFollowUpsOfFarEventsDispatchInOrder) {
   struct Fired {
     std::int64_t timeNs;
@@ -319,7 +297,7 @@ TEST(TimerWheelProperty, NearFollowUpsOfFarEventsDispatchInOrder) {
       lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
       return lcg >> 33;
     };
-    std::uint64_t scheduled = 0;  // schedule order == the kernel's seq order
+    std::uint64_t scheduled = 0;  // schedule order
     std::vector<Fired> fired;
     auto record = [&](std::uint64_t order) {
       fired.push_back(Fired{(sim.now() - TimePoint::epoch()).toNanos(), order});
@@ -348,8 +326,90 @@ TEST(TimerWheelProperty, NearFollowUpsOfFarEventsDispatchInOrder) {
   }
 }
 
+// Trees of follow-ups over a mix of delay scales, from the nanoseconds of a
+// back-to-back packet to the hundreds of milliseconds of a session timer:
+// 200 seeded events, each fired event scheduling 0-2 more, up to 20,000
+// events. Run whole and in run(limit) slices; (time, schedule order) must
+// never decrease across the whole dispatch sequence.
+struct FollowUpTree {
+  struct Fired {
+    std::int64_t timeNs;
+    std::uint64_t order;
+  };
+  static constexpr int kSeeded = 200;
+  static constexpr std::uint64_t kMaxEvents = 20'000;
+
+  Simulator sim;
+  std::uint64_t lcg;
+  std::uint64_t scheduled{0};  // schedule order
+  std::vector<Fired> fired;
+
+  explicit FollowUpTree(std::uint64_t seed) : lcg{seed * 2654435761u + 1} {}
+
+  std::uint64_t rnd() {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    return lcg >> 33;
+  }
+
+  std::int64_t pickDelay() {
+    const auto r = [this](std::int64_t n) {
+      return static_cast<std::int64_t>(rnd() % static_cast<std::uint64_t>(n));
+    };
+    switch (rnd() % 6) {
+      case 0: return r(2'000);
+      case 1: return r(3'000);
+      case 2: return r(60'000);
+      case 3: return 500'000 + r(2'000'000);
+      case 4: return r(20'000'000);
+      default: return r(200'000'000);
+    }
+  }
+
+  void scheduleAfter(std::int64_t delayNs) {
+    if (scheduled == kMaxEvents) return;
+    const std::uint64_t order = ++scheduled;
+    sim.scheduleAfter(Duration::nanos(delayNs), [this, order] {
+      fired.push_back(Fired{(sim.now() - TimePoint::epoch()).toNanos(), order});
+      for (std::uint64_t n = rnd() % 3; n > 0; --n) scheduleAfter(pickDelay());
+    });
+  }
+
+  void seed() {
+    for (int i = 0; i < kSeeded; ++i) scheduleAfter(pickDelay());
+  }
+};
+
+TEST(EventQueueProperty, FollowUpTreesNeverStepBack) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    for (const bool sliced : {false, true}) {
+      FollowUpTree tree{seed};
+      tree.seed();
+      if (sliced) {
+        for (std::int64_t limitNs = 250'000; !tree.sim.idle();
+             limitNs += 730'000) {
+          tree.sim.run(at(limitNs));
+        }
+      } else {
+        tree.sim.run();
+      }
+      ASSERT_EQ(tree.fired.size(), tree.scheduled) << "seed " << seed;
+      for (std::size_t i = 1; i < tree.fired.size(); ++i) {
+        const FollowUpTree::Fired& a = tree.fired[i - 1];
+        const FollowUpTree::Fired& b = tree.fired[i];
+        ASSERT_TRUE(a.timeNs < b.timeNs ||
+                    (a.timeNs == b.timeNs && a.order < b.order))
+            << "seed " << seed << (sliced ? " sliced" : " whole")
+            << ": (time, order) went from (" << a.timeNs << ", " << a.order
+            << ") to (" << b.timeNs << ", " << b.order << ") at dispatch "
+            << i;
+      }
+    }
+  }
+}
+
 // Identical seeds must produce identical audit fingerprints when run whole
-// versus chunked — the wheel cursor is bookkeeping, not observable state.
+// versus chunked — where a refill stops is bookkeeping, not observable
+// state.
 TEST(TimerWheelProperty, AuditDigestInvariantUnderChunking) {
   auto digestOf = [](bool chunked) {
     PropertyHarness h{42, /*extra=*/150};

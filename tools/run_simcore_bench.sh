@@ -16,10 +16,10 @@
 # Set MSIM_BENCH_BASELINE=path/to/old.json to diff the fresh results against
 # a recorded baseline via tools/bench_diff.py. With MSIM_BENCH_GATE=PCT the
 # diff becomes a gate: the script fails when a hot-path row (interest fan-out
-# / SoA broadcast / session delivery / warm UDP link, see MSIM_BENCH_ONLY)
-# regresses beyond PCT percent or any allocs_per_* counter exceeds
-# MSIM_BENCH_MAX_ALLOC (default 1e-6 — i.e. the relay and link hot paths
-# must stay allocation-free).
+# / SoA broadcast / session delivery / warm UDP link / event queue, see
+# MSIM_BENCH_ONLY) regresses beyond PCT percent or any allocs_per_* counter
+# exceeds MSIM_BENCH_MAX_ALLOC (default 1e-6 — i.e. the relay, link and
+# event-queue hot paths must stay allocation-free).
 set -eu
 
 BUILD_DIR="${1:-build}"
@@ -69,7 +69,7 @@ if [ -n "${MSIM_BENCH_BASELINE:-}" ]; then
     --max-alloc ${MSIM_BENCH_MAX_ALLOC:-1e-6}"
   # shellcheck disable=SC2086
   python3 "$(dirname "$0")/bench_diff.py" "$MSIM_BENCH_BASELINE" "$OUT" \
-    --only "${MSIM_BENCH_ONLY:-BM_InterestGridFanout|BM_RelayBroadcastSoA|BM_SessionChurnSteady|BM_UdpSteadyStatePacketPool}" \
+    --only "${MSIM_BENCH_ONLY:-BM_InterestGridFanout|BM_RelayBroadcastSoA|BM_SessionChurnSteady|BM_UdpSteadyStatePacketPool|BM_EventQueueScheduleRunDistinct|BM_EventQueueScheduleRunAligned|BM_EventQueueCascade}" \
     $DIFF_ARGS
 fi
 
