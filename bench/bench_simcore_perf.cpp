@@ -190,6 +190,51 @@ void BM_EventCancelChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EventCancelChurn)->Arg(100000);
 
+void BM_TimerRearm(benchmark::State& state) {
+  // An RTO under a stream of ACKs: every ACK, 0.5 ms apart, moves one
+  // Timer's deadline 200 ms out, and the timer fires once the stream stops.
+  // A later deadline schedules nothing, so each ACK costs its own event and
+  // one armAt; the timer's one pending event comes due early about every
+  // 400 ACKs and re-files itself. The simulator persists across iterations,
+  // so allocs_per_item is the steady-state heap budget per re-arm (must be
+  // zero).
+  struct AckStream {
+    Simulator& sim;
+    Timer& rto;
+    std::int64_t left;
+    void next() {
+      if (left-- == 0) return;
+      rto.armAfter(Duration::millis(200));
+      sim.scheduleAfter(Duration::micros(500), [this] { next(); });
+    }
+  };
+  const std::int64_t acks = state.range(0);
+  Simulator sim{1};
+  std::int64_t fires = 0;
+  Timer rto{sim, [&fires] { ++fires; }};
+  AckStream stream{sim, rto, 0};
+  auto flight = [&] {
+    stream.left = acks;
+    stream.next();
+    sim.run();
+  };
+  for (int pass = 0; pass < 2; ++pass) flight();
+
+  std::int64_t items = 0;
+  const std::uint64_t allocsBefore = g_heapAllocs.load();
+  for (auto _ : state) {
+    flight();
+    items += acks;
+  }
+  const std::uint64_t allocs = g_heapAllocs.load() - allocsBefore;
+  benchmark::DoNotOptimize(fires);
+  state.SetItemsProcessed(items);
+  state.counters["allocs_per_item"] = benchmark::Counter(
+      items > 0 ? static_cast<double>(allocs) / static_cast<double>(items)
+                : 0.0);
+}
+BENCHMARK(BM_TimerRearm)->Arg(10000);
+
 void BM_RelayBroadcast(benchmark::State& state) {
   // The §5.1 linear fan-out, isolated from the network: one pose update
   // forwarded to N-1 detached receivers. Reports steady-state heap

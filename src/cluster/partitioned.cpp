@@ -180,7 +180,7 @@ void PartitionedCluster::scheduleDrain(std::uint32_t shard, TimePoint at) {
 // notePromise enforces.
 
 void PartitionedCluster::promiseControlLinks() {
-  if (!promisesArmed_) return;
+  if (!adaptivePromises_) return;
   pdes::Partition& control = engine_.partition(0);
   const std::int64_t nextOrderNs = drainCursor_ < drainSchedule_.size()
                                        ? drainSchedule_[drainCursor_].first
@@ -193,7 +193,7 @@ void PartitionedCluster::promiseControlLinks() {
 }
 
 void PartitionedCluster::promiseShardLinks(std::uint32_t s) {
-  if (!promisesArmed_) return;
+  if (!adaptivePromises_) return;
   pdes::Partition& part = engine_.partition(partitionOf(s));
   const std::int64_t nowNs = part.sim().now().toNanos();
   const std::int64_t drainFloor =
@@ -249,7 +249,7 @@ void PartitionedCluster::controlDrain(std::uint32_t source) {
 
 void PartitionedCluster::sourceExport(std::uint32_t source,
                                       std::uint32_t target) {
-  if (promisesArmed_ && shardDrainCursor_[source] < shardDrainNs_[source].size()) {
+  if (adaptivePromises_ && shardDrainCursor_[source] < shardDrainNs_[source].size()) {
     ++shardDrainCursor_[source];
   }
   Shard& shard = shards_[source];
@@ -345,8 +345,8 @@ PartitionedClusterStats PartitionedCluster::run(Duration measure,
   // Arm the promise choreography before anything runs: sort the drain
   // schedule into execution order (stable on ties, matching the control
   // sim's schedule-seq order) and derive every initial floor.
-  promisesArmed_ = cfg_.adaptiveWindows;
-  if (promisesArmed_) {
+  adaptivePromises_ = cfg_.adaptiveWindows;
+  if (adaptivePromises_) {
     std::stable_sort(drainSchedule_.begin(), drainSchedule_.end(),
                      [](const auto& a, const auto& b) {
                        return a.first < b.first;
@@ -376,7 +376,7 @@ PartitionedClusterStats PartitionedCluster::run(Duration measure,
     PeriodicTask* pacer = shard.pacer.get();
     sim.schedule(stopAt, [this, s, pacer] {
       pacer->stop();
-      if (ghostActive() && promisesArmed_) {
+      if (ghostActive() && adaptivePromises_) {
         shards_[s].nextGhostTickNs = kInfNs;
         promiseShardLinks(s);
       }

@@ -220,7 +220,7 @@ class PartitionedCluster {
   std::size_t drainCursor_{0};
   std::vector<std::vector<std::int64_t>> shardDrainNs_;  // arrival instants
   std::vector<std::size_t> shardDrainCursor_;
-  bool promisesArmed_{false};
+  bool adaptivePromises_{false};
   std::int64_t pacePeriodNs_{0};
 };
 

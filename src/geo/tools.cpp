@@ -18,12 +18,14 @@ std::uint16_t nextPingIdent() {
 }
 }  // namespace
 
-PingTool::~PingTool() { *alive_ = false; }
+PingTool::~PingTool() {
+  node_.removeIcmpListener(icmpListener_);
+  // Pending probe and finish events hold their run; they return if it ended.
+  for (const auto& run : runs_) run->finished = true;
+}
 
 PingTool::PingTool(Node& node) : node_{node}, ident_{nextPingIdent()} {
-  node_.addIcmpListener([this, alive = std::weak_ptr<bool>(alive_)](const Packet& p) {
-    const auto guard = alive.lock();
-    if (!guard || !*guard) return;
+  icmpListener_ = node_.addIcmpListener([this](const Packet& p) {
     const IcmpHeader* h = p.icmp();
     if (h == nullptr || h->type != IcmpType::EchoReply || h->ident != ident_) return;
     for (const auto& run : runs_) {
@@ -66,11 +68,12 @@ void PingTool::ping(Ipv4Address target, int count, DoneHandler done,
                             [this, run] { finish(run); });
 }
 
-void PingTool::finish(const std::shared_ptr<Run>& run) {
+void PingTool::finish(std::shared_ptr<Run> run) {
   if (run->finished) return;
   run->finished = true;
+  // Detach first: the handler may destroy this tool.
+  std::erase(runs_, run);
   if (run->done) run->done(run->result);
-  runs_.erase(std::remove(runs_.begin(), runs_.end(), run), runs_.end());
 }
 
 // --------------------------------------------------------------- TcpPingTool
@@ -108,22 +111,20 @@ void TcpPingTool::probeOnce(Endpoint target, int remaining, Duration interval,
 
 // ------------------------------------------------------------ TracerouteTool
 
-TracerouteTool::~TracerouteTool() { *alive_ = false; }
+TracerouteTool::~TracerouteTool() { node_.removeIcmpListener(icmpListener_); }
 
 TracerouteTool::TracerouteTool(Node& node) : node_{node} {
-  node_.addIcmpListener([this, alive = std::weak_ptr<bool>(alive_)](const Packet& p) {
-    const auto guard = alive.lock();
-    if (!guard || !*guard) return;
+  icmpListener_ = node_.addIcmpListener([this](const Packet& p) {
     const IcmpHeader* h = p.icmp();
     if (h == nullptr) return;
     if (h->type != IcmpType::TimeExceeded && h->type != IcmpType::DestUnreachable) {
       return;
     }
     for (const auto& t : traces_) {
-      if (!t->awaiting) continue;
+      if (!t->timeout.armed()) continue;
       if (h->originalDst != t->target || h->originalDstPort != t->probePort) continue;
       const bool reached = h->type == IcmpType::DestUnreachable;
-      completeHop(t, p.src, reached);
+      completeHop(*t, p.src, reached);
       return;
     }
   });
@@ -131,63 +132,59 @@ TracerouteTool::TracerouteTool(Node& node) : node_{node} {
 
 void TracerouteTool::trace(Ipv4Address target, DoneHandler done, int maxTtl,
                            Duration probeTimeout) {
-  auto t = std::make_shared<Trace>();
+  auto t = std::make_unique<Trace>(*this);
   t->target = target;
   t->maxTtl = maxTtl;
   t->probeTimeout = probeTimeout;
   t->done = std::move(done);
-  traces_.push_back(t);
-  sendNextProbe(t);
+  traces_.push_back(std::move(t));
+  sendNextProbe(*traces_.back());
 }
 
-void TracerouteTool::sendNextProbe(const std::shared_ptr<Trace>& t) {
-  t->currentTtl += 1;
-  if (t->currentTtl > t->maxTtl) {
-    t->awaiting = false;
-    if (t->done) t->done(t->hops);
-    traces_.erase(std::remove(traces_.begin(), traces_.end(), t), traces_.end());
+void TracerouteTool::sendNextProbe(Trace& t) {
+  t.currentTtl += 1;
+  if (t.currentTtl > t.maxTtl) {
+    finishTrace(t);
     return;
   }
-  t->probePort = nextPort_++;
+  t.probePort = nextPort_++;
   if (nextPort_ > 33534) nextPort_ = 33434;
-  t->probeSentAt = node_.sim().now();
-  t->awaiting = true;
+  t.probeSentAt = node_.sim().now();
 
   Packet probe;
-  probe.dst = t->target;
-  probe.dstPort = t->probePort;
+  probe.dst = t.target;
+  probe.dstPort = t.probePort;
   probe.srcPort = 33000;
   probe.proto = IpProto::Udp;
-  probe.ttl = static_cast<std::uint8_t>(t->currentTtl);
+  probe.ttl = static_cast<std::uint8_t>(t.currentTtl);
   probe.overheadBytes = wire::kEthIpUdp;
   probe.payloadBytes = ByteSize::bytes(32);
   node_.sendFromLocal(std::move(probe));
-
-  std::weak_ptr<Trace> weak = t;
-  t->timeoutEvent = node_.sim().scheduleAfter(t->probeTimeout, [this, weak] {
-    if (auto trace = weak.lock(); trace && trace->awaiting) {
-      completeHop(trace, Ipv4Address{}, false);  // '*' hop
-    }
-  });
+  t.timeout.armAfter(t.probeTimeout);
 }
 
-void TracerouteTool::completeHop(const std::shared_ptr<Trace>& t,
-                                 Ipv4Address hopAddr, bool reached) {
-  node_.sim().cancel(t->timeoutEvent);
-  t->awaiting = false;
+void TracerouteTool::completeHop(Trace& t, Ipv4Address hopAddr, bool reached) {
+  t.timeout.disarm();
   TracerouteHop hop;
-  hop.ttl = t->currentTtl;
+  hop.ttl = t.currentTtl;
   hop.addr = hopAddr;
-  hop.rttMs = (node_.sim().now() - t->probeSentAt).toMillis();
+  hop.rttMs = (node_.sim().now() - t.probeSentAt).toMillis();
   hop.reachedTarget = reached;
-  t->hops.push_back(hop);
+  t.hops.push_back(hop);
 
   if (reached) {
-    if (t->done) t->done(t->hops);
-    traces_.erase(std::remove(traces_.begin(), traces_.end(), t), traces_.end());
+    finishTrace(t);
     return;
   }
   sendNextProbe(t);
+}
+
+void TracerouteTool::finishTrace(Trace& t) {
+  // Detach first: the handler may destroy this tool.
+  DoneHandler done = std::move(t.done);
+  const std::vector<TracerouteHop> hops = std::move(t.hops);
+  std::erase_if(traces_, [&t](const auto& p) { return p.get() == &t; });
+  if (done) done(hops);
 }
 
 // --------------------------------------------------------- AnycastInference

@@ -53,14 +53,13 @@ class PingTool {
     bool finished{false};
   };
 
-  void finish(const std::shared_ptr<Run>& run);
+  void finish(std::shared_ptr<Run> run);
 
   Node& node_;
   std::uint16_t ident_;
   std::uint16_t nextSeq_{1};
   std::vector<std::shared_ptr<Run>> runs_;
-  // Guards the node-registered ICMP listener against outliving this tool.
-  std::shared_ptr<bool> alive_{std::make_shared<bool>(true)};
+  std::uint64_t icmpListener_{0};
 };
 
 /// SYN-timing pinger: measures connect()-to-answer (SYN-ACK or RST) time.
@@ -104,6 +103,11 @@ class TracerouteTool {
 
  private:
   struct Trace {
+    explicit Trace(TracerouteTool& tool)
+        : timeout{tool.node_.sim(), [this, &tool] {
+                    tool.completeHop(*this, Ipv4Address{}, false);  // '*' hop
+                  }} {}
+
     Ipv4Address target;
     int maxTtl{16};
     Duration probeTimeout;
@@ -112,18 +116,17 @@ class TracerouteTool {
     std::uint16_t probePort{0};
     std::vector<TracerouteHop> hops;
     DoneHandler done;
-    EventId timeoutEvent;
-    bool awaiting{false};
+    Timer timeout;  // armed while a probe awaits its answer
   };
 
-  void sendNextProbe(const std::shared_ptr<Trace>& t);
-  void completeHop(const std::shared_ptr<Trace>& t, Ipv4Address hopAddr,
-                   bool reached);
+  void sendNextProbe(Trace& t);
+  void completeHop(Trace& t, Ipv4Address hopAddr, bool reached);
+  void finishTrace(Trace& t);
 
   Node& node_;
   std::uint16_t nextPort_{33434};
-  std::vector<std::shared_ptr<Trace>> traces_;
-  std::shared_ptr<bool> alive_{std::make_shared<bool>(true)};
+  std::vector<std::unique_ptr<Trace>> traces_;
+  std::uint64_t icmpListener_{0};
 };
 
 /// Verdict of the multi-vantage anycast inference.

@@ -293,7 +293,12 @@ void Node::handleLocal(const Packet& p) {
       sendFromLocal(std::move(reply));
       return;
     }
-    for (const auto& listener : icmpListeners_) listener(p);
+    // A listener may add or remove listeners (and destroy their tools) while
+    // it runs: call a snapshot, skipping any removed since.
+    const auto snapshot = icmpListeners_;
+    for (const auto& [handle, fn] : snapshot) {
+      if (icmpListeners_.contains(handle)) fn(p);
+    }
     return;
   }
   if (localHandler_) localHandler_(p);

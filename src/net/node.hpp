@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -199,8 +200,13 @@ class Node {
   void setLocalHandler(LocalHandler h) { localHandler_ = std::move(h); }
 
   using IcmpHandler = std::function<void(const Packet&)>;
-  /// Receives locally-addressed ICMP (echo replies, time-exceeded).
-  void addIcmpListener(IcmpHandler h) { icmpListeners_.push_back(std::move(h)); }
+  /// Receives locally-addressed ICMP (echo replies, time-exceeded) until
+  /// removed by the returned handle; removal is safe inside a listener.
+  std::uint64_t addIcmpListener(IcmpHandler h) {
+    icmpListeners_.emplace(++lastIcmpHandle_, std::move(h));
+    return lastIcmpHandle_;
+  }
+  void removeIcmpListener(std::uint64_t handle) { icmpListeners_.erase(handle); }
 
   /// Whether this node answers ICMP echo requests (some of the paper's
   /// targets blocked ICMP, forcing TCP pings).
@@ -243,7 +249,8 @@ class Node {
   std::vector<RouteEntry> routes_;  // shorter prefixes, sorted by descending prefixLen
   NetDevice* defaultRoute_{nullptr};
   LocalHandler localHandler_;
-  std::vector<IcmpHandler> icmpListeners_;
+  std::map<std::uint64_t, IcmpHandler> icmpListeners_;  // in add order
+  std::uint64_t lastIcmpHandle_{0};
   bool icmpEchoEnabled_{true};
   std::uint64_t unroutableDrops_{0};
   std::shared_ptr<void> transport_;

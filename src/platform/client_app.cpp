@@ -209,7 +209,7 @@ void PlatformClient::enterGameMode() {
 void PlatformClient::exitGameMode() {
   inGame_ = false;
   gameTask_.reset();
-  sim_.cancel(clockSyncEvent_);
+  clockSync_.cancel();
 }
 
 void PlatformClient::startEventTraffic() {
@@ -265,7 +265,7 @@ void PlatformClient::stopEventTraffic() {
   keepaliveTask_.reset();
   voiceTask_.reset();
   watchdogTask_.reset();
-  sim_.cancel(clockSyncEvent_);
+  clockSync_.cancel();
   gatedQueue_.clear();
 }
 
@@ -320,7 +320,8 @@ bool PlatformClient::udpGateClosed() const {
   // Worlds gives critical control-channel TCP (the clock-sync exchange)
   // strict priority: UDP waits until it has been delivered (§8.1). The bulk
   // report spikes do not gate — their loss is not time-critical.
-  return spec().game.tcpPriorityCoupling && inGame_ && clockSyncInFlight_;
+  return spec().game.tcpPriorityCoupling && inGame_ &&
+         clockSyncTimeout_.armed();
 }
 
 void PlatformClient::sendDataMessage(const std::shared_ptr<Message>& m) {
@@ -416,8 +417,10 @@ void PlatformClient::spikeTick() {
 
 void PlatformClient::clockSyncRound() {
   if (!inGame_ || phase_ != ClientPhase::InEvent) return;
-  if (clockSyncInFlight_) return;
-  clockSyncInFlight_ = true;
+  if (clockSyncTimeout_.armed()) return;  // a round is in flight
+  // Application-level timeout: a sync stuck behind a dying connection is
+  // abandoned and retried on a fresh request.
+  clockSyncTimeout_.armAfter(Duration::seconds(20));
   if (!controlOutstanding_) {
     controlOutstanding_ = true;
     controlOutstandingSince_ = sim_.now();
@@ -428,7 +431,7 @@ void PlatformClient::clockSyncRound() {
       controlEp_, HttpRequest{controlpath::kClockSync},
       [this, sentAt, round](const HttpResponse& resp, Duration) {
         if (round != clockSyncRound_) return;  // superseded by the timeout
-        clockSyncInFlight_ = false;
+        clockSyncTimeout_.disarm();
         if (resp.status > 0) lastControlResponseAt_ = sim_.now();
         controlOutstanding_ = control_.busy() || controlSync_.busy();
         flushGatedQueue();
@@ -436,19 +439,15 @@ void PlatformClient::clockSyncRound() {
         const Duration elapsed = sim_.now() - sentAt;
         const Duration wait = elapsed >= interval ? Duration::zero()
                                                   : interval - elapsed;
-        clockSyncEvent_ = sim_.scheduleAfter(wait, [this] { clockSyncRound(); });
+        clockSync_.armAfter(wait);
       });
-  // Application-level timeout: a sync stuck behind a dying connection is
-  // abandoned and retried on a fresh request.
-  sim_.scheduleAfter(Duration::seconds(20), [this, round] {
-    if (clockSyncInFlight_ && round == clockSyncRound_) {
-      ++clockSyncRound_;  // invalidate the stale handler
-      clockSyncInFlight_ = false;
-      controlOutstanding_ = control_.busy() || controlSync_.busy();
-      flushGatedQueue();
-      clockSyncRound();
-    }
-  });
+}
+
+void PlatformClient::clockSyncTimedOut() {
+  ++clockSyncRound_;  // invalidate the stale handler
+  controlOutstanding_ = control_.busy() || controlSync_.busy();
+  flushGatedQueue();
+  clockSyncRound();
 }
 
 // --------------------------------------------------------------- downlink

@@ -138,6 +138,7 @@ class PlatformClient {
   void keepaliveTick();
   void spikeTick();
   void clockSyncRound();
+  void clockSyncTimedOut();
   void watchdogTick();
   void backgroundAccountingTick();
   [[nodiscard]] bool udpGateClosed() const;
@@ -186,7 +187,6 @@ class PlatformClient {
   TimePoint controlOutstandingSince_;
   TimePoint lastControlResponseAt_;
   bool controlOutstanding_{false};
-  bool clockSyncInFlight_{false};
   std::uint64_t clockSyncRound_{0};
 
   // Periodic machinery.
@@ -201,7 +201,8 @@ class PlatformClient {
   std::unique_ptr<PeriodicTask> voiceTask_;
   std::unique_ptr<PeriodicTask> watchdogTask_;
   std::unique_ptr<PeriodicTask> accountingTask_;
-  EventId clockSyncEvent_;
+  Timer clockSync_{sim_, [this] { clockSyncRound(); }};
+  Timer clockSyncTimeout_{sim_, [this] { clockSyncTimedOut(); }};  // armed in flight
 };
 
 }  // namespace msim

@@ -57,10 +57,7 @@ void SessionHub::clientConnect(std::uint32_t id, std::uint64_t epoch,
   if (pending > stats_.peakPendingConnects) {
     stats_.peakPendingConnects = pending;
   }
-  if (!serviceArmed_) {
-    serviceArmed_ = true;
-    sim_.scheduleAfter(cfg_.connectCost, [this] { processNextConnect(); });
-  }
+  if (!service_.armed()) service_.armAfter(cfg_.connectCost);
 }
 
 void SessionHub::processNextConnect() {
@@ -72,9 +69,8 @@ void SessionHub::processNextConnect() {
   if (queueHead_ == queue_.size()) {
     queue_.clear();  // keeps capacity: the queue stays warm across storms
     queueHead_ = 0;
-    serviceArmed_ = false;
   } else {
-    sim_.scheduleAfter(cfg_.connectCost, [this] { processNextConnect(); });
+    service_.armAfter(cfg_.connectCost);
   }
   acceptOrReject(p);
 }

@@ -178,7 +178,7 @@ class SessionHub {
   // re-allocate blocks in steady state).
   std::vector<PendingConnect> queue_;
   std::size_t queueHead_{0};
-  bool serviceArmed_{false};
+  Timer service_{sim_, [this] { processNextConnect(); }};  // armed while queued
   std::size_t connected_{0};
   Placer placer_;
   SessionHook onUp_;

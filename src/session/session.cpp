@@ -47,14 +47,19 @@ Session::Session(SessionHub& hub, SessionConfig cfg, std::uint64_t userId,
       sim_{hub.sim()},
       cfg_{validated(cfg)},
       userId_{userId},
-      region_{std::move(region)} {
+      region_{std::move(region)},
+      ping_{sim_, [this] { sendPing(); }},
+      pongDeadline_{sim_, [this] { pingTimedOut(); }},
+      reconnect_{sim_, [this] {
+        if (state_ == ConnectionState::Reconnecting) beginAttempt();
+      }},
+      refresh_{sim_, [this] {
+        if (state_ == ConnectionState::Connected) hub_.requestToken(id_, epoch_);
+      }} {
   id_ = hub_.registerSession(this);
 }
 
-Session::~Session() {
-  cancelTimers();
-  hub_.deregisterSession(id_);
-}
+Session::~Session() { hub_.deregisterSession(id_); }
 
 void Session::setState(ConnectionState s) {
   if (state_ == s) return;
@@ -63,10 +68,10 @@ void Session::setState(ConnectionState s) {
 }
 
 void Session::cancelTimers() {
-  sim_.cancel(pingTimer_);
-  sim_.cancel(pongDeadline_);
-  sim_.cancel(reconnectTimer_);
-  sim_.cancel(refreshTimer_);
+  ping_.disarm();
+  pongDeadline_.disarm();
+  reconnect_.disarm();
+  refresh_.disarm();
 }
 
 Session::Subscription* Session::findSub(std::uint64_t channel) {
@@ -195,9 +200,7 @@ Duration Session::backoffDelay(std::uint32_t attempt) {
 void Session::scheduleReconnect() {
   const Duration d = backoffDelay(attempt_);
   ++attempt_;
-  reconnectTimer_ = sim_.scheduleAfter(d, [this] {
-    if (state_ == ConnectionState::Reconnecting) beginAttempt();
-  });
+  reconnect_.armAfter(d);
 }
 
 // ---- liveness -------------------------------------------------------------
@@ -209,34 +212,33 @@ void Session::sendPing() {
   const std::uint64_t epoch = epoch_;
   sim_.scheduleAfter(cfg_.oneWayDelay,
                      [hub, id, epoch] { hub->clientPing(id, epoch); });
-  sim_.cancel(pongDeadline_);
-  pongDeadline_ = sim_.scheduleAfter(cfg_.maxPingDelay, [this] {
-    if (state_ != ConnectionState::Connected) return;
-    // Silence past maxPingDelay: the shard stopped answering (crash, not a
-    // polite drain) — enter the backoff loop.
-    ++stats_.pingTimeouts;
-    cancelTimers();
-    setState(ConnectionState::Reconnecting);
-    scheduleReconnect();
-  });
+  pongDeadline_.armAfter(cfg_.maxPingDelay);
+}
+
+void Session::pingTimedOut() {
+  if (state_ != ConnectionState::Connected) return;
+  // Silence past maxPingDelay: the shard stopped answering (crash, not a
+  // polite drain) — enter the backoff loop.
+  ++stats_.pingTimeouts;
+  cancelTimers();
+  setState(ConnectionState::Reconnecting);
+  scheduleReconnect();
 }
 
 void Session::onPong(std::uint64_t epoch) {
   if (epoch != epoch_ || state_ != ConnectionState::Connected) return;
-  sim_.cancel(pongDeadline_);
-  pingTimer_ = sim_.scheduleAfter(cfg_.pingInterval, [this] { sendPing(); });
+  // Answered: drop the deadline with its event. Disarmed, the event would
+  // still fire, as a no-op, once per ping.
+  pongDeadline_.cancel();
+  ping_.armAfter(cfg_.pingInterval);
 }
 
 // ---- token refresh --------------------------------------------------------
 
 void Session::armRefresh() {
-  sim_.cancel(refreshTimer_);
+  refresh_.disarm();
   if (cfg_.tokenRefreshLead <= Duration::zero() || !hasToken_) return;
-  Duration d = (token_.expiresAt - cfg_.tokenRefreshLead) - sim_.now();
-  if (d < Duration::zero()) d = Duration::zero();
-  refreshTimer_ = sim_.scheduleAfter(d, [this] {
-    if (state_ == ConnectionState::Connected) hub_.requestToken(id_, epoch_);
-  });
+  refresh_.armAt(token_.expiresAt - cfg_.tokenRefreshLead);
 }
 
 // ---- hub -> client --------------------------------------------------------
@@ -253,7 +255,7 @@ void Session::onAccept(std::uint64_t epoch, std::int32_t shard) {
   ++stats_.connects;
   if (wasRetry) ++stats_.reconnects;
   setState(ConnectionState::Connected);
-  pingTimer_ = sim_.scheduleAfter(cfg_.pingInterval, [this] { sendPing(); });
+  ping_.armAfter(cfg_.pingInterval);
   armRefresh();
   // Re-establish every subscription: fresh ones subscribe from the head,
   // previously-synced ones resume from their cursor (the recovery path).

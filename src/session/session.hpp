@@ -145,7 +145,7 @@ struct SessionStats {
   std::uint64_t fullRejoins{0};       // resume fell out of the history window
 };
 
-/// One client connection. Address-stable (owns live timer EventIds that
+/// One client connection. Address-stable (owns Timers whose pending events
 /// capture `this`): hold sessions by unique_ptr, never in a reallocating
 /// vector by value.
 class Session {
@@ -225,6 +225,7 @@ class Session {
   void beginAttempt();
   void scheduleReconnect();
   void sendPing();
+  void pingTimedOut();
   void cancelTimers();
   void armRefresh();
   [[nodiscard]] Subscription* findSub(std::uint64_t channel);
@@ -243,10 +244,10 @@ class Session {
   bool hasToken_{false};
   std::vector<Subscription> subs_;
   SessionStats stats_;
-  EventId pingTimer_;
-  EventId pongDeadline_;
-  EventId reconnectTimer_;
-  EventId refreshTimer_;
+  Timer ping_;
+  Timer pongDeadline_;
+  Timer reconnect_;
+  Timer refresh_;
   std::function<void(Session&, ConnectionState)> onStateChange_;
   std::function<void(Session&, std::uint64_t, std::uint64_t, std::uint64_t,
                      bool)>

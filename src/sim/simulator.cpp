@@ -228,32 +228,37 @@ TimePoint Simulator::nextEventTimeLowerBound() const {
   return TimePoint::fromNanos(std::max(best, now_.toNanos()));
 }
 
+void Timer::armAt(TimePoint t) {
+  if (t < sim_.now()) t = sim_.now();
+  deadline_ = t;
+  armed_ = true;
+  if (pending_.valid() && pendingAt_ <= t) return;  // re-files when it fires
+  sim_.cancel(pending_);
+  pendingAt_ = t;
+  pending_ = sim_.schedule(t, [this] { fire(); });
+}
+
+void Timer::fire() {
+  if (!armed_) return;
+  if (sim_.now() < deadline_) {  // the deadline moved later since scheduling
+    pendingAt_ = deadline_;
+    pending_ = sim_.schedule(deadline_, [this] { fire(); });
+    return;
+  }
+  armed_ = false;
+  cb_();  // may re-arm this timer or destroy it: nothing may follow
+}
+
 PeriodicTask::PeriodicTask(Simulator& sim, Duration period, Callback cb)
     : PeriodicTask{sim, period, period, std::move(cb)} {}
 
-PeriodicTask::PeriodicTask(Simulator& sim, Duration period, Duration phase, Callback cb)
-    : sim_{sim}, period_{period}, cb_{std::move(cb)} {
-  arm(phase);
-}
-
-PeriodicTask::~PeriodicTask() {
-  *alive_ = false;
-  stop();
-}
-
-void PeriodicTask::stop() {
-  running_ = false;
-  sim_.cancel(pending_);
-}
-
-void PeriodicTask::arm(Duration delay) {
-  std::weak_ptr<bool> alive = alive_;
-  pending_ = sim_.scheduleAfter(delay, [this, alive] {
-    const auto guard = alive.lock();
-    if (!guard || !*guard || !running_) return;
-    cb_();
-    if (running_) arm(period_);
-  });
+PeriodicTask::PeriodicTask(Simulator& sim, Duration period, Duration phase,
+                           Callback cb)
+    : period_{period}, cb_{std::move(cb)}, timer_{sim, [this] {
+        cb_();
+        if (running_) timer_.armAfter(period_);
+      }} {
+  timer_.armAfter(phase);
 }
 
 }  // namespace msim

@@ -32,7 +32,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -299,37 +298,67 @@ inline bool EventId::valid() const {
          sim_->slotAt(slot_).generation == gen_ && sim_->slotAt(slot_).live;
 }
 
+/// A re-armable deadline with at most one pending event, which captures
+/// `this` (contract in DESIGN.md §7). It fires exactly at the last deadline
+/// armed. A later deadline schedules nothing: the event re-files itself when
+/// it comes due early. disarm() leaves the event to fire as a no-op; cancel()
+/// and the destructor cancel it. The callback runs disarmed and may re-arm
+/// the timer or destroy its owner.
+class Timer {
+ public:
+  using Callback = UniqueFunction;
+
+  Timer(Simulator& sim, Callback cb) : sim_{sim}, cb_{std::move(cb)} {}
+  ~Timer() { sim_.cancel(pending_); }
+
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+
+  /// Arms the timer at `t` (clamped to now), replacing any earlier deadline.
+  void armAt(TimePoint t);
+  /// Arms the timer `delay` from now (negative treated as zero).
+  void armAfter(Duration delay) { armAt(sim_.now() + delay); }
+  void disarm() { armed_ = false; }
+  void cancel() { armed_ = false; sim_.cancel(pending_); }
+  [[nodiscard]] bool armed() const { return armed_; }
+
+ private:
+  void fire();
+
+  Simulator& sim_;
+  Callback cb_;
+  TimePoint deadline_;
+  TimePoint pendingAt_;  // due time of pending_ while it is valid
+  EventId pending_;
+  bool armed_{false};
+};
+
 /// Repeats a callback at a fixed period until stopped or destroyed.
 ///
 /// Used for avatar update loops, metric samplers, periodic report spikes,
 /// vsync ticks. The first tick fires after `phase` (defaults to one period).
+/// Each tick is armed after the previous callback returns, as a fresh event.
 class PeriodicTask {
  public:
-  using Callback = std::function<void()>;
+  using Callback = UniqueFunction;
 
   PeriodicTask(Simulator& sim, Duration period, Callback cb);
   PeriodicTask(Simulator& sim, Duration period, Duration phase, Callback cb);
-  ~PeriodicTask();
 
   PeriodicTask(const PeriodicTask&) = delete;
   PeriodicTask& operator=(const PeriodicTask&) = delete;
 
-  void stop();
+  void stop() {
+    running_ = false;
+    timer_.cancel();
+  }
   [[nodiscard]] bool running() const { return running_; }
-  /// Changes the period; takes effect from the next rescheduling.
-  void setPeriod(Duration period) { period_ = period; }
-  [[nodiscard]] Duration period() const { return period_; }
 
  private:
-  void arm(Duration delay);
-
-  Simulator& sim_;
   Duration period_;
   Callback cb_;
   bool running_{true};
-  EventId pending_;
-  // Guards the callback against firing after destruction.
-  std::shared_ptr<bool> alive_{std::make_shared<bool>(true)};
+  Timer timer_;
 };
 
 }  // namespace msim

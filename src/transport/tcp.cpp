@@ -25,18 +25,17 @@ std::shared_ptr<TcpSocket> TcpSocket::create(Node& node, TcpConfig cfg) {
 }
 
 TcpSocket::TcpSocket(Node& node, TcpConfig cfg)
-    : mux_{TransportMux::of(node)}, cfg_{cfg} {
+    : mux_{TransportMux::of(node)},
+      cfg_{cfg},
+      delayedAck_{node.sim(), [this] { if (segsSinceAck_ > 0) sendBareAck(); }},
+      rto_{node.sim(), [this] { onRtoFire(); }} {
   // Serial is a per-simulation map key, never user-visible: allocate it from
   // the owning Simulator so independent sims don't share a global counter.
   serial_ = mux_.node().sim().nextId();
   cwnd_ = cfg_.initialCwndSegments * cfg_.mss;
 }
 
-TcpSocket::~TcpSocket() {
-  cancelRto();
-  mux_.node().sim().cancel(delayedAckTimer_);
-  unregisterKey();
-}
+TcpSocket::~TcpSocket() { unregisterKey(); }
 
 void TcpSocket::registerKey() {
   if (!keyRegistered_) {
@@ -109,7 +108,7 @@ void TcpSocket::abort() {
   sendRst(remote_, key_.localPort);
   unregisterKey();
   toState(TcpState::Closed);
-  cancelRto();
+  rto_.cancel();
   if (onClose_) onClose_();
 }
 
@@ -199,8 +198,7 @@ void TcpSocket::sendSegment(std::uint64_t seq, std::uint32_t len, bool syn,
 
 void TcpSocket::sendBareAck() {
   segsSinceAck_ = 0;
-  delayedAckArmed_ = false;
-  mux_.node().sim().cancel(delayedAckTimer_);
+  delayedAck_.disarm();
   sendSegment(sndNxt_, 0, false, false, /*forceAck=*/true);
 }
 
@@ -229,7 +227,7 @@ void TcpSocket::deliverSegment(const Packet& p) {
   if (h->rst) {
     unregisterKey();
     toState(TcpState::Closed);
-    cancelRto();
+    rto_.cancel();
     if (onConnect_) {
       auto cb = std::move(onConnect_);
       onConnect_ = nullptr;
@@ -245,7 +243,7 @@ void TcpSocket::deliverSegment(const Packet& p) {
       if (h->syn && h->ackFlag) {
         toState(TcpState::Established);
         backoff_ = 0;
-        cancelRto();
+        rto_.disarm();
         sendBareAck();
         if (onConnect_) {
           auto cb = std::move(onConnect_);
@@ -264,7 +262,7 @@ void TcpSocket::deliverSegment(const Packet& p) {
       if (h->ackFlag) {
         toState(TcpState::Established);
         backoff_ = 0;
-        cancelRto();
+        rto_.disarm();
         if (onConnect_) {
           auto cb = std::move(onConnect_);
           onConnect_ = nullptr;
@@ -373,8 +371,9 @@ void TcpSocket::processAck(std::uint64_t ackSeq, bool pureAck) {
       maybeFinishClose();
     }
 
-    // Restart (not merely keep) the RTO after forward progress.
-    cancelRto();
+    // Restart (not merely keep) the RTO after forward progress. A later
+    // deadline only moves; the pending event re-files itself when due.
+    rto_.disarm();
     if (sndUna_ < sndNxt_ || (finSent_ && !finAcked_)) armRto();
     trySendData();
   } else if (pureAck && ackSeq == sndUna_ && sndNxt_ > sndUna_) {
@@ -433,8 +432,8 @@ void TcpSocket::acceptPayload(std::uint64_t seq, std::uint32_t len) {
     ++segsSinceAck_;
     if (segsSinceAck_ >= 2) {
       sendBareAck();
-    } else {
-      scheduleDelayedAck();
+    } else if (!delayedAck_.armed()) {
+      delayedAck_.armAfter(cfg_.delayedAckTimeout);
     }
   }
 }
@@ -447,18 +446,6 @@ void TcpSocket::deliverReadyMessages() {
     it = inMessages_.erase(it);
     if (onMessage_) onMessage_(msg);
   }
-}
-
-void TcpSocket::scheduleDelayedAck() {
-  if (delayedAckArmed_) return;
-  delayedAckArmed_ = true;
-  std::weak_ptr<TcpSocket> weak = shared_from_this();
-  delayedAckTimer_ = mux_.node().sim().scheduleAfter(cfg_.delayedAckTimeout, [weak] {
-    if (auto self = weak.lock()) {
-      self->delayedAckArmed_ = false;
-      if (self->segsSinceAck_ > 0) self->sendBareAck();
-    }
-  });
 }
 
 // ------------------------------------------------------- timers & congestion
@@ -476,24 +463,11 @@ Duration TcpSocket::currentRto() const {
   return base;
 }
 
-void TcpSocket::cancelRto() {
-  mux_.node().sim().cancel(rtoTimer_);
-  rtoArmed_ = false;
-}
-
 void TcpSocket::armRto() {
-  if (rtoArmed_) return;
-  rtoArmed_ = true;
+  if (rto_.armed()) return;
   // Small timer jitter (kernel tick granularity): keeps retransmissions
   // from phase-locking with periodic cross traffic.
-  const Duration rto = currentRto() * mux_.node().sim().rng().uniform(0.98, 1.15);
-  std::weak_ptr<TcpSocket> weak = shared_from_this();
-  rtoTimer_ = mux_.node().sim().scheduleAfter(rto, [weak] {
-    if (auto self = weak.lock()) {
-      self->rtoArmed_ = false;
-      self->onRtoFire();
-    }
-  });
+  rto_.armAfter(currentRto() * mux_.node().sim().rng().uniform(0.98, 1.15));
 }
 
 void TcpSocket::onRtoFire() {
@@ -564,7 +538,7 @@ void TcpSocket::maybeFinishClose() {
   if (finSent_ && finAcked_ && finReceived_) {
     unregisterKey();
     toState(TcpState::Closed);
-    cancelRto();
+    rto_.cancel();
   }
 }
 
@@ -584,11 +558,10 @@ void TcpListener::handleSyn(const Packet& p) {
   accepted_[socket->serial()] = socket;
   socket->onReleaseInternal(
       [this](std::uint64_t serial) { accepted_.erase(serial); });
-  socket->onConnectInternal([this, weak = std::weak_ptr<TcpSocket>(socket)](bool ok) {
-    auto sock = weak.lock();
-    if (sock == nullptr) return;
+  // A socket calls its own handler, so the raw pointer is live whenever it runs.
+  socket->onConnectInternal([this, sock = socket.get()](bool ok) {
     if (ok) {
-      if (onAccept_) onAccept_(sock);
+      if (onAccept_) onAccept_(sock->shared_from_this());
     } else {
       accepted_.erase(sock->serial());
     }

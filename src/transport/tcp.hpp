@@ -23,6 +23,7 @@
 #include <optional>
 
 #include "net/packet.hpp"
+#include "sim/simulator.hpp"
 #include "transport/mux.hpp"
 #include "util/flatmap.hpp"
 
@@ -142,11 +143,9 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   void processAck(std::uint64_t ackSeq, bool pureAck = true);
   void acceptPayload(std::uint64_t seq, std::uint32_t len);
   void deliverReadyMessages();
-  void scheduleDelayedAck();
   void maybeFinishClose();
 
   // --- timers & congestion control ----------------------------------------
-  void cancelRto();
   void armRto();
   void onRtoFire();
   void onRttSample(Duration rtt);
@@ -191,8 +190,7 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   std::map<std::uint64_t, std::uint64_t> oooRanges_;  // start -> end
   std::map<std::uint64_t, Message> inMessages_;       // endOffset -> message
   int segsSinceAck_{0};
-  EventId delayedAckTimer_;
-  bool delayedAckArmed_{false};
+  Timer delayedAck_;
 
   // Congestion control (bytes).
   std::uint32_t cwnd_{0};
@@ -205,8 +203,7 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   std::optional<Duration> srtt_;
   Duration rttvar_{Duration::zero()};
   int backoff_{0};
-  EventId rtoTimer_;
-  bool rtoArmed_{false};
+  Timer rto_;
   std::optional<std::pair<std::uint64_t, TimePoint>> rttProbe_;  // seq end, sent at
 
   // Time of the last ACK progress (or last transition to idle).

@@ -142,6 +142,94 @@ TEST_F(FabricFixture, TracerouteSeesCoreHops) {
   EXPECT_GT(hops[1].rttMs, 60.0);
 }
 
+// A measurement tool listens for ICMP on its node only while it exists: once
+// it is gone, a forwarding node that hosted it cuts its hop through again.
+TEST(ToolsLifetimeTest, DestroyedToolsGiveCutThroughBack) {
+  Simulator sim{3};
+  Network net{sim};
+  Node& r = net.addNode("r");
+  Node& ap = net.addNode("ap");
+  Node& leaf = net.addNode("leaf");
+  r.addAddress(Ipv4Address(10, 0, 0, 1));
+  ap.addAddress(Ipv4Address(10, 2, 0, 1));
+  leaf.addAddress(Ipv4Address(10, 2, 0, 2));
+  LinkConfig shortHop;
+  shortHop.delay = Duration::micros(500);
+  LinkConfig wifi;
+  wifi.delay = Duration::millis(2);
+  auto [u, apUp] = Link::connect(r, ap, shortHop);
+  auto [d, rev] = Link::connect(ap, leaf, wifi);
+  r.setDefaultRoute(u);
+  ap.addHostRoute(leaf.primaryAddress(), d);
+  ap.setDefaultRoute(apUp);
+  leaf.setDefaultRoute(rev);
+  int received = 0;
+  leaf.setLocalHandler([&](const Packet&) { ++received; });
+  const auto send = [&] {
+    Packet p;
+    p.src = r.primaryAddress();
+    p.dst = leaf.primaryAddress();
+    p.proto = IpProto::Udp;
+    p.overheadBytes = wire::kEthIpUdp;
+    p.payloadBytes = ByteSize::bytes(100);
+    r.sendFromLocal(std::move(p));
+    sim.run();
+  };
+
+  {
+    PingTool pinger{ap};
+    TracerouteTool tracer{ap};
+    send();
+    EXPECT_EQ(u.cutThroughs(), 0u);  // the AP listens locally
+  }
+  send();
+  EXPECT_EQ(received, 2);
+  EXPECT_EQ(u.cutThroughs(), 1u);
+}
+
+// A done handler may destroy the tool that calls it.
+TEST_F(FabricFixture, ToolsMayBeDestroyedByTheirDoneHandlers) {
+  Node& client = fabric.attachHost("client", regions::usEast(), Ipv4Address(10, 0, 0, 1));
+  Node& server = fabric.attachHost("server", regions::usWest(), Ipv4Address(100, 1, 2, 1));
+  TransportMux::of(server);
+  auto tracer = std::make_unique<TracerouteTool>(client);
+  auto pinger = std::make_unique<PingTool>(client);
+  std::vector<TracerouteHop> hops;
+  PingResult pong;
+  tracer->trace(server.primaryAddress(), [&](const std::vector<TracerouteHop>& h) {
+    hops = h;
+    tracer.reset();
+  });
+  pinger->ping(server.primaryAddress(), 3, [&](const PingResult& res) {
+    pong = res;
+    pinger.reset();
+  });
+  sim.run();
+  EXPECT_EQ(tracer, nullptr);
+  EXPECT_EQ(pinger, nullptr);
+  ASSERT_FALSE(hops.empty());
+  EXPECT_TRUE(hops.back().reachedTarget);
+  EXPECT_EQ(pong.received, 3);
+}
+
+// A tool destroyed mid-run stops probing and never calls back.
+TEST_F(FabricFixture, DestroyingAToolMidRunStopsIt) {
+  Node& client = fabric.attachHost("client", regions::usEast(), Ipv4Address(10, 0, 0, 1));
+  Node& server = fabric.attachHost("server", regions::usWest(), Ipv4Address(100, 1, 2, 1));
+  TransportMux::of(server);
+  bool called = false;
+  {
+    PingTool pinger{client};
+    TracerouteTool tracer{client};
+    pinger.ping(server.primaryAddress(), 5, [&](const PingResult&) { called = true; });
+    tracer.trace(server.primaryAddress(),
+                 [&](const std::vector<TracerouteHop>&) { called = true; });
+    sim.runFor(Duration::millis(30));
+  }
+  sim.run();
+  EXPECT_FALSE(called);
+}
+
 // ---------------------------------------------------------------------- DNS
 
 TEST(DnsTest, StaticAndNearest) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <memory>
+#include <set>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -247,18 +251,212 @@ TEST(PeriodicTaskTest, DestructionCancelsCleanly) {
   EXPECT_EQ(count, 1);
 }
 
-TEST(PeriodicTaskTest, SetPeriodTakesEffectNextTick) {
+// -------------------------------------------------------------------- Timer
+
+TEST(TimerTest, FiresOnceAtTheLastDeadlineArmed) {
   Simulator sim;
   std::vector<double> times;
-  PeriodicTask task{sim, Duration::millis(10), [&] {
-                      times.push_back(sim.now().toMillis());
-                      task.setPeriod(Duration::millis(20));
-                    }};
-  sim.runFor(Duration::millis(55));
-  ASSERT_EQ(times.size(), 3u);
-  EXPECT_DOUBLE_EQ(times[0], 10.0);
-  EXPECT_DOUBLE_EQ(times[1], 30.0);
-  EXPECT_DOUBLE_EQ(times[2], 50.0);
+  Timer timer{sim, [&] { times.push_back(sim.now().toMillis()); }};
+  timer.armAfter(Duration::millis(10));
+  timer.armAfter(Duration::millis(30));
+  timer.armAfter(Duration::millis(20));
+  EXPECT_TRUE(timer.armed());
+  sim.run();
+  EXPECT_EQ(times, (std::vector<double>{20.0}));
+  EXPECT_FALSE(timer.armed());
+}
+
+TEST(TimerTest, MovingTheDeadlineLaterSchedulesNothing) {
+  Simulator sim;
+  std::vector<double> times;
+  Timer timer{sim, [&] { times.push_back(sim.now().toMillis()); }};
+  timer.armAfter(Duration::millis(10));
+  for (int i = 2; i <= 50; ++i) timer.armAfter(Duration::millis(10.0 * i));
+  EXPECT_EQ(sim.queuedEvents(), 1u);
+  // One early fire that re-files at the deadline, then the real one.
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(times, (std::vector<double>{500.0}));
+}
+
+TEST(TimerTest, MovingTheDeadlineEarlierReplacesThePendingEvent) {
+  Simulator sim;
+  std::vector<double> times;
+  Timer timer{sim, [&] { times.push_back(sim.now().toMillis()); }};
+  timer.armAfter(Duration::millis(50));
+  timer.armAfter(Duration::millis(10));
+  EXPECT_EQ(sim.liveEvents(), 1u);
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(times, (std::vector<double>{10.0}));
+}
+
+TEST(TimerTest, DisarmLeavesANoOpEvent) {
+  Simulator sim;
+  int fired = 0;
+  Timer timer{sim, [&] { ++fired; }};
+  timer.armAfter(Duration::millis(10));
+  timer.disarm();
+  EXPECT_FALSE(timer.armed());
+  EXPECT_EQ(sim.liveEvents(), 1u);
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(fired, 0);
+}
+
+TEST(TimerTest, CancelDropsThePendingEvent) {
+  Simulator sim;
+  int fired = 0;
+  Timer timer{sim, [&] { ++fired; }};
+  timer.armAfter(Duration::millis(10));
+  timer.cancel();
+  EXPECT_FALSE(timer.armed());
+  EXPECT_TRUE(sim.idle());
+  timer.armAfter(Duration::millis(20));
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.now().toMillis(), 20.0);
+}
+
+TEST(TimerTest, DestructionCancelsThePendingEvent) {
+  Simulator sim;
+  int fired = 0;
+  {
+    Timer timer{sim, [&] { ++fired; }};
+    timer.armAfter(Duration::millis(10));
+  }
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(sim.run(), 0u);
+  EXPECT_EQ(fired, 0);
+}
+
+// The reference a Timer must match: cancel and reschedule on every call.
+class OracleTimer {
+ public:
+  OracleTimer(Simulator& sim, UniqueFunction cb) : sim_{sim}, cb_{std::move(cb)} {}
+  ~OracleTimer() { sim_.cancel(pending_); }
+  OracleTimer(const OracleTimer&) = delete;
+  OracleTimer& operator=(const OracleTimer&) = delete;
+
+  void armAt(TimePoint t) {
+    sim_.cancel(pending_);
+    armed_ = true;
+    pending_ = sim_.schedule(t, [this] {
+      armed_ = false;
+      cb_();
+    });
+  }
+  void disarm() {
+    sim_.cancel(pending_);
+    armed_ = false;
+  }
+  void cancel() { disarm(); }
+  [[nodiscard]] bool armed() const { return armed_; }
+
+ private:
+  Simulator& sim_;
+  UniqueFunction cb_;
+  EventId pending_;
+  bool armed_{false};
+};
+
+struct TimerFire {
+  std::int64_t ns;
+  int timer;
+  int generation;
+  bool operator==(const TimerFire&) const = default;
+};
+
+// A seeded random script over a few timers: driver steps at even instants
+// arm later or earlier, disarm, cancel, arm in the past, or destroy a timer
+// that may have an event pending; callbacks re-arm ahead or in the past, or destroy
+// their own timer. Every future deadline is odd and unique, so no two
+// callbacks share an instant and the fire log is a total order. With
+// `sliceSeed` nonzero the run advances in random run(limit) slices.
+template <typename TimerT>
+std::vector<TimerFire> runTimerScript(std::uint64_t seed,
+                                      std::uint64_t sliceSeed) {
+  constexpr int kTimers = 6;
+  constexpr int kSteps = 600;
+  constexpr std::int64_t kStepNs = 2'000;
+  Simulator sim;
+  Rng rng{seed};
+  std::set<std::int64_t> used;
+  std::vector<TimerFire> fires;
+  std::array<int, kTimers> generation{};
+  std::array<std::unique_ptr<TimerT>, kTimers> timers;
+  int rearmsInThePast = 0;
+
+  const auto freshDeadline = [&](std::int64_t lo, std::int64_t hi) {
+    for (;;) {
+      const std::int64_t t = rng.uniformInt(lo, hi) | 1;
+      if (used.insert(t).second) return TimePoint::fromNanos(t);
+    }
+  };
+  std::function<void(int)> make = [&](int i) {
+    const int g = ++generation[static_cast<std::size_t>(i)];
+    timers[static_cast<std::size_t>(i)] = std::make_unique<TimerT>(sim, [&, i, g] {
+      fires.push_back({sim.now().toNanos(), i, g});
+      const std::int64_t now = sim.now().toNanos();
+      TimerT& self = *timers[static_cast<std::size_t>(i)];
+      const double u = rng.uniform(0.0, 1.0);
+      if (u < 0.25) {
+        self.armAt(freshDeadline(now + 1, now + 20 * kStepNs));
+      } else if (u < 0.30 && rearmsInThePast < 40) {
+        ++rearmsInThePast;
+        self.armAt(TimePoint::fromNanos(now - 7));
+      } else if (u < 0.35) {
+        make(i);  // destroys the running timer
+      }
+    });
+  };
+  for (int i = 0; i < kTimers; ++i) make(i);
+
+  for (int k = 1; k <= kSteps; ++k) {
+    sim.schedule(TimePoint::fromNanos(k * kStepNs), [&] {
+      const int i = static_cast<int>(rng.uniformInt(0, kTimers - 1));
+      TimerT& t = *timers[static_cast<std::size_t>(i)];
+      const std::int64_t now = sim.now().toNanos();
+      switch (rng.uniformInt(0, 5)) {
+        case 0:
+          t.armAt(freshDeadline(now + 10 * kStepNs, now + 40 * kStepNs));
+          break;
+        case 1:
+          t.armAt(freshDeadline(now + 1, now + 10 * kStepNs));
+          break;
+        case 2:
+          t.disarm();
+          break;
+        case 4:
+          t.cancel();
+          break;
+        case 3:  // in the past: due now, after this step
+          t.armAt(TimePoint::fromNanos(now - rng.uniformInt(0, kStepNs)));
+          break;
+        default:
+          make(i);
+          break;
+      }
+    });
+  }
+
+  if (sliceSeed == 0) {
+    sim.run();
+  } else {
+    Rng slices{sliceSeed};
+    while (!sim.idle()) {
+      sim.run(sim.now() + Duration::nanos(slices.uniformInt(1, 5 * kStepNs)));
+    }
+  }
+  return fires;
+}
+
+TEST(TimerProperty, MatchesCancelAndRescheduleOracle) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    const std::vector<TimerFire> oracle = runTimerScript<OracleTimer>(seed, 0);
+    ASSERT_GT(oracle.size(), 150u);
+    EXPECT_EQ(runTimerScript<OracleTimer>(seed, seed + 100), oracle);
+    EXPECT_EQ(runTimerScript<Timer>(seed, 0), oracle);
+    EXPECT_EQ(runTimerScript<Timer>(seed, seed + 100), oracle);
+  }
 }
 
 }  // namespace
