@@ -3,19 +3,18 @@
 // The paper ends by asking whether today's architectures are ready for the
 // metaverse (§9): one relay machine falls over long before "thousands of
 // users in one world". This example runs the escape hatch the measurements
-// point at (§4.2): a fleet of relay instances behind a capacity-aware
-// gateway, with users matched to instances by region, an instance drained
-// live mid-event (its room migrates with zero loss), and a fresh instance
-// spun up to absorb new arrivals.
+// point at (§4.2): a fleet of relay instances, each user pinned to the
+// least-loaded one, an instance drained live mid-event (its room migrates
+// with zero loss), and late arrivals spread over the shards that remain.
 //
 //   ./planet_event [users] [instances] [--churn]
 //
 // With --churn, the drain is replaced by the rude version: a shard *crashes*
 // mid-event with live sessions on it. The session tier (src/session) takes
 // over — every orphaned client discovers the death through its ping
-// deadline, backs off with jitter, and storms back through the gateway,
-// which re-places the stale pins and replays each channel's missed interval
-// from history. The run prints the storm draining and gates on the
+// deadline, backs off with jitter, and storms back through placement,
+// which re-places the stale pins, while the hub replays each channel's
+// missed interval from history. The run prints the storm draining and gates on the
 // exactly-once ledger: zero lost, zero duplicate, zero out-of-order.
 
 #include <cstdio>
@@ -37,15 +36,15 @@ namespace {
 
 void printCluster(const InstanceManager& mgr, double atSec) {
   std::printf("\n--- cluster at t=%.0fs ---\n", atSec);
-  TablePrinter table{{"shard", "region", "state", "users", "forwards",
-                      "util", "inflation"}};
+  TablePrinter table{
+      {"shard", "state", "users", "forwards", "util", "inflation"}};
   const ClusterStats stats = mgr.stats();
   for (const auto& row : stats.shards) {
     char util[32];
     char infl[32];
     std::snprintf(util, sizeof(util), "%.3f", row.utilization);
     std::snprintf(infl, sizeof(infl), "%.2f", row.queueInflation);
-    table.addRow({std::to_string(row.id), row.region, toString(row.state),
+    table.addRow({std::to_string(row.id), toString(row.state),
                   std::to_string(row.users), std::to_string(row.forwards),
                   util, infl});
   }
@@ -82,7 +81,7 @@ int runChurnEvent(int users, int instances) {
   std::printf(
       "\n>>> shard 0 crashed at t=%.0fs with live sessions pinned to it\n"
       ">>> ping deadlines fired: %llu sessions discovered the death\n"
-      ">>> reconnect storm: %llu reconnects drained through the gateway\n"
+      ">>> reconnect storm: %llu reconnects drained through placement\n"
       "    (%llu kept their sticky pin, %llu re-placed off the dead shard;\n"
       "     peak connect queue %zu deep)\n",
       cfg.crashAt.toSeconds(),
@@ -129,15 +128,11 @@ int main(int argc, char** argv) {
 
   if (churn) return runChurnEvent(users, instances);
 
-  std::printf("planet_event: %d users, %d relay instances, 3 regions\n", users,
-              instances);
+  std::printf("planet_event: %d users, %d relay instances\n", users, instances);
 
   Simulator sim{2026};
   ClusterConfig cfg;
   cfg.initialInstances = instances;
-  cfg.policy = PlacementPolicy::RegionAffinity;
-  cfg.regions = {regions::usEast(), regions::usWest(), regions::europe()};
-  cfg.spinUpDelay = Duration::seconds(3);
   // Beefier hosts than the paper's single testbed box: each shard should sit
   // below the saturation knee at its planned occupancy, so inflation only
   // shows up where the event actually overloads a shard.
@@ -150,11 +145,9 @@ int main(int argc, char** argv) {
         ++delivered;
       });
 
-  // The crowd joins from three regions; region affinity keeps each user on
-  // a nearby shard until its soft capacity trips.
+  // The crowd joins; each user is pinned to the least-loaded shard.
   for (int i = 0; i < users; ++i) {
-    const Region& home = cfg.regions[static_cast<std::size_t>(i) % 3];
-    if (mgr.joinUser(static_cast<std::uint64_t>(i + 1), home) == nullptr) {
+    if (mgr.joinUser(static_cast<std::uint64_t>(i + 1)) == nullptr) {
       std::printf("cluster full at user %d\n", i + 1);
       break;
     }
@@ -181,21 +174,18 @@ int main(int argc, char** argv) {
   printCluster(mgr, 5);
 
   // Ops drains the last shard (say, for a host kernel upgrade): its room
-  // migrates live to the policy's pick; nobody's stream drops.
+  // migrates live to the least-loaded shard; nobody's stream drops.
   const auto victim = static_cast<std::uint32_t>(instances - 1);
   std::printf("\n>>> draining shard %u (live migration)...\n", victim);
   const std::size_t moved = mgr.drain(victim);
   std::printf(">>> %zu users migrated; shard %u is %s\n", moved, victim,
               toString(mgr.instance(victim)->state()));
 
-  // A replacement boots with the configured spin-up delay and starts taking
-  // late arrivals once Active.
-  RelayInstance& fresh = mgr.spinUp(regions::usEast());
-  std::printf(">>> spinning up shard %u in %s (boots in %.0f s)\n", fresh.id(),
-              fresh.region().name.c_str(), cfg.spinUpDelay.toSeconds());
+  // Late arrivals land on the shards still serving, never on the drained
+  // one.
   sim.runFor(Duration::seconds(5));
   for (int i = 0; i < 40; ++i) {
-    mgr.joinUser(static_cast<std::uint64_t>(users + i + 1), regions::usEast());
+    mgr.joinUser(static_cast<std::uint64_t>(users + i + 1));
   }
   sim.runFor(Duration::seconds(5));
   printCluster(mgr, 15);

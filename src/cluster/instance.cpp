@@ -8,7 +8,6 @@ namespace msim::cluster {
 
 const char* toString(InstanceState s) {
   switch (s) {
-    case InstanceState::Starting: return "starting";
     case InstanceState::Active: return "active";
     case InstanceState::Draining: return "draining";
     case InstanceState::Stopped: return "stopped";
@@ -59,14 +58,8 @@ RelayInstance::RelayInstance(Simulator& sim, std::uint32_t id, Region region,
       sim_, capacity_.loadSampleEvery, [this] { sampleLoad(); });
 }
 
-void RelayInstance::activate() {
-  if (state_ == InstanceState::Starting) state_ = InstanceState::Active;
-}
-
 void RelayInstance::beginDrain() {
-  if (state_ == InstanceState::Active || state_ == InstanceState::Starting) {
-    state_ = InstanceState::Draining;
-  }
+  if (state_ == InstanceState::Active) state_ = InstanceState::Draining;
 }
 
 void RelayInstance::stop() {

@@ -33,7 +33,7 @@ struct ShardCapacitySpec {
   double cpuPerForwardUs{15.0};
   /// Cores the shard may burn on forwarding.
   double cores{2.0};
-  /// Users the gateway will pack into the shard before treating it as full
+  /// Users placement will pack into the shard before treating it as full
   /// (0 = unlimited; the room's own maxEventUsers cap still applies).
   int softUserCap{0};
   /// Utilization where queueing starts to inflate processing delay.
@@ -51,10 +51,26 @@ struct ShardCapacitySpec {
   }
 };
 
-/// Shard lifecycle (§4.2's elastic serving topology).
-enum class InstanceState : std::uint8_t { Starting, Active, Draining, Stopped };
+/// Shard lifecycle (§4.2's serving topology): a shard serves from
+/// construction until it drains or crashes.
+enum class InstanceState : std::uint8_t { Active, Draining, Stopped };
 
 [[nodiscard]] const char* toString(InstanceState s);
+
+/// The cluster tier's one placement rule: among the shards `accepting(s)`
+/// admits, the one with the lowest `load(s)`, lowest id on ties. Returns
+/// `count` when no shard accepts. InstanceManager places users and picks
+/// drain targets through it; PartitionedCluster's control partition picks
+/// drain targets through it.
+template <class Accepting, class Load>
+[[nodiscard]] std::uint32_t leastLoaded(std::uint32_t count,
+                                        Accepting accepting, Load load) {
+  std::uint32_t best = count;
+  for (std::uint32_t s = 0; s < count; ++s) {
+    if (accepting(s) && (best == count || load(s) < load(best))) best = s;
+  }
+  return best;
+}
 
 class RelayInstance {
  public:
@@ -72,15 +88,7 @@ class RelayInstance {
   [[nodiscard]] const ShardCapacitySpec& capacity() const { return capacity_; }
   [[nodiscard]] std::size_t userCount() const { return room_->userCount(); }
 
-  /// True when the gateway may place new users here.
-  [[nodiscard]] bool acceptingUsers() const {
-    return state_ == InstanceState::Active &&
-           (capacity_.softUserCap <= 0 ||
-            static_cast<int>(userCount()) < capacity_.softUserCap);
-  }
-
   // ---- lifecycle ----------------------------------------------------------
-  void activate();
   void beginDrain();
   void stop();
 
@@ -118,7 +126,7 @@ class RelayInstance {
   std::uint32_t id_;
   Region region_;
   ShardCapacitySpec capacity_;
-  InstanceState state_{InstanceState::Starting};
+  InstanceState state_{InstanceState::Active};
   std::shared_ptr<RelayRoom> room_;
 
   double baseProvisioning_{1.0};

@@ -1,105 +1,107 @@
 #include "cluster/manager.hpp"
 
+#include <algorithm>
+
 #include "geo/geo.hpp"
 
 namespace msim::cluster {
 
 InstanceManager::InstanceManager(Simulator& sim, DataSpec dataSpec,
                                  ClusterConfig cfg)
-    : sim_{sim}, dataSpec_{std::move(dataSpec)}, cfg_{std::move(cfg)} {
-  if (cfg_.regions.empty()) cfg_.regions.push_back(regions::usEast());
-  gateway_ = std::make_unique<Gateway>(instances_, cfg_.policy);
-  for (int i = 0; i < cfg_.initialInstances; ++i) {
-    addInstance(cfg_.regions[static_cast<std::size_t>(i) % cfg_.regions.size()],
-                /*immediate=*/true);
+    : sim_{sim}, cfg_{std::move(cfg)} {
+  const auto count =
+      static_cast<std::uint32_t>(std::max(cfg_.initialInstances, 0));
+  for (std::uint32_t id = 0; id < count; ++id) {
+    instances_.push_back(std::make_unique<RelayInstance>(
+        sim_, id, regions::usEast(), dataSpec, cfg_.capacity));
   }
-}
-
-RelayInstance& InstanceManager::spinUp(const Region& region, bool immediate) {
-  return addInstance(region, immediate);
+  pinned_.assign(count, 0);
 }
 
 void InstanceManager::reserveUsers(std::size_t expectedTotal) {
-  gateway_->reserveUsers(expectedTotal);
+  pins_.reserve(expectedTotal);
   if (instances_.empty()) return;
   const std::size_t perShard =
       (expectedTotal + instances_.size() - 1) / instances_.size();
   for (auto& inst : instances_) inst->room().reserveUsers(perShard);
 }
 
-RelayInstance& InstanceManager::addInstance(const Region& region,
-                                            bool immediate) {
-  const auto id = static_cast<std::uint32_t>(instances_.size());
-  auto inst =
-      std::make_unique<RelayInstance>(sim_, id, region, dataSpec_, cfg_.capacity);
-  if (sink_) inst->setDeliverySink(sink_);
-  RelayInstance& ref = *inst;
-  instances_.push_back(std::move(inst));
-  if (immediate) {
-    ref.activate();
+// ---- placement ---------------------------------------------------------------
+
+RelayInstance* InstanceManager::pick(std::uint32_t excluding) const {
+  const auto count = static_cast<std::uint32_t>(instances_.size());
+  const auto load = [this](std::uint32_t s) {
+    return std::max<std::size_t>(instances_[s]->userCount(), pinned_[s]);
+  };
+  const auto accepting = [&](std::uint32_t s) {
+    const RelayInstance& inst = *instances_[s];
+    const int cap = inst.capacity().softUserCap;
+    return s != excluding && inst.state() == InstanceState::Active &&
+           (cap <= 0 || load(s) < static_cast<std::size_t>(cap));
+  };
+  const std::uint32_t best = leastLoaded(count, accepting, load);
+  return best < count ? instances_[best].get() : nullptr;
+}
+
+void InstanceManager::pin(std::uint64_t userId, std::uint32_t instanceId) {
+  if (const std::uint32_t* old = pins_.find(userId)) --pinned_[*old];
+  pins_[userId] = instanceId;
+  ++pinned_[instanceId];
+}
+
+void InstanceManager::unpin(std::uint64_t userId) {
+  if (const std::uint32_t* id = pins_.find(userId)) {
+    --pinned_[*id];
+    pins_.erase(userId);
+  }
+}
+
+RelayInstance* InstanceManager::place(std::uint64_t userId, bool reconnect) {
+  RelayInstance* inst = instanceOf(userId);
+  if (inst != nullptr && inst->state() == InstanceState::Active) {
+    if (reconnect) ++reconnectsSticky_;
   } else {
-    sim_.scheduleAfter(cfg_.spinUpDelay, [this, id] {
-      if (RelayInstance* inst = instance(id)) inst->activate();
-    });
+    // Unplaced, or a stale pin onto a Draining/Stopped shard (the
+    // crash-recovery path): place the user afresh.
+    const bool replacing = inst != nullptr && reconnect;
+    unpin(userId);
+    inst = pick(kNoShard);
+    if (inst == nullptr) return nullptr;
+    pin(userId, inst->id());
+    ++placements_;
+    if (replacing) ++reconnectsReplaced_;
   }
-  return ref;
-}
-
-RelayInstance* InstanceManager::joinUser(std::uint64_t userId,
-                                         const Region& region) {
-  RelayInstance* inst = gateway_->place(userId, region);
-  if (inst == nullptr) return nullptr;
   if (!inst->room().joinDetached(userId)) {
-    // Room-level cap tripped (maxEventUsers) even though the gateway had it
-    // as accepting; give up rather than loop over shards — the soft cap
-    // should be set at or below the room cap.
-    gateway_->forget(userId);
-    return nullptr;
-  }
-  return inst;
-}
-
-RelayInstance* InstanceManager::reconnectUser(std::uint64_t userId,
-                                              const Region& region) {
-  RelayInstance* inst = gateway_->placeReconnect(userId, region);
-  if (inst == nullptr) return nullptr;
-  if (!inst->room().joinDetached(userId)) {
-    gateway_->forget(userId);
+    // Room-level cap tripped (maxEventUsers) even though placement had the
+    // shard as accepting; give up rather than loop over shards — the soft
+    // cap should be set at or below the room cap.
+    unpin(userId);
     return nullptr;
   }
   return inst;
 }
 
 void InstanceManager::suspendUser(std::uint64_t userId) {
-  if (RelayInstance* inst = gateway_->instanceOf(userId)) {
-    inst->room().leave(userId);
-  }
-  // The gateway pin survives: a reconnecting session is sticky by default.
+  if (RelayInstance* inst = instanceOf(userId)) inst->room().leave(userId);
+  // The pin survives: a reconnecting session is sticky by default.
 }
 
 void InstanceManager::leaveUser(std::uint64_t userId) {
-  if (RelayInstance* inst = gateway_->instanceOf(userId)) {
-    inst->room().leave(userId);
-  }
-  gateway_->forget(userId);
+  suspendUser(userId);
+  unpin(userId);
+}
+
+RelayInstance* InstanceManager::instanceOf(std::uint64_t userId) {
+  const std::uint32_t* id = pins_.find(userId);
+  return id != nullptr ? instances_[*id].get() : nullptr;
 }
 
 RelayRoom* InstanceManager::roomOf(std::uint64_t userId) {
-  RelayInstance* inst = gateway_->instanceOf(userId);
+  RelayInstance* inst = instanceOf(userId);
   return inst != nullptr ? &inst->room() : nullptr;
 }
 
-RelayInstance* InstanceManager::pickMigrationTarget(std::uint32_t sourceId) {
-  RelayInstance* source = instance(sourceId);
-  if (source == nullptr) return nullptr;
-  // Probe the gateway with a key that cannot collide with a real user id:
-  // "where would the policy place a user from the draining shard's region?"
-  const std::uint64_t probeKey = ~std::uint64_t{0};
-  RelayInstance* target = gateway_->place(probeKey, source->region());
-  gateway_->forget(probeKey);
-  if (target != nullptr && target->id() == sourceId) return nullptr;
-  return target;
-}
+// ---- lifecycle / migration ---------------------------------------------------
 
 std::size_t InstanceManager::drain(std::uint32_t instanceId) {
   RelayInstance* source = instance(instanceId);
@@ -107,7 +109,7 @@ std::size_t InstanceManager::drain(std::uint32_t instanceId) {
   source->beginDrain();
   ++drains_;
 
-  RelayInstance* target = pickMigrationTarget(instanceId);
+  RelayInstance* target = pick(/*excluding=*/instanceId);
   if (target == nullptr) return 0;
 
   // The whole handoff runs inside this one event, so no send can observe
@@ -117,9 +119,7 @@ std::size_t InstanceManager::drain(std::uint32_t instanceId) {
   const RelayRoomSnapshot snap = source->evacuate();
   if (snap.users.empty()) return 0;
   target->adopt(snap);
-  for (const RelayUserRecord& u : snap.users) {
-    gateway_->reassign(u.id, target->id());
-  }
+  for (const RelayUserRecord& u : snap.users) pin(u.id, target->id());
   ++migrations_;
   migratedUsers_ += snap.users.size();
   return snap.users.size();
@@ -135,9 +135,8 @@ std::size_t InstanceManager::crash(std::uint32_t instanceId) {
   return inst->evacuate().users.size();
 }
 
-void InstanceManager::setDeliverySink(RelayInstance::DeliverySink sink) {
-  sink_ = std::move(sink);
-  for (auto& inst : instances_) inst->setDeliverySink(sink_);
+void InstanceManager::setDeliverySink(const RelayInstance::DeliverySink& sink) {
+  for (auto& inst : instances_) inst->setDeliverySink(sink);
 }
 
 std::size_t InstanceManager::totalUsers() const {
@@ -149,12 +148,10 @@ std::size_t InstanceManager::totalUsers() const {
 ClusterStats InstanceManager::stats() const {
   ClusterStats out;
   out.shards.reserve(instances_.size());
-  const auto& perInst = gateway_->placementsPerInstance();
   for (const auto& instPtr : instances_) {
     const RelayInstance& inst = *instPtr;
     ClusterStats::ShardRow row;
     row.id = inst.id();
-    row.region = inst.region().name;
     row.state = inst.state();
     row.users = inst.userCount();
     row.forwards = instPtr->roomPtr()->forwardedMessages();
@@ -162,16 +159,15 @@ ClusterStats InstanceManager::stats() const {
     row.queueInflation = inst.queueInflation();
     row.deliveredMsgs = inst.deliveredMessages();
     row.deliveredBytes = inst.deliveredBytes();
-    row.placements = inst.id() < perInst.size() ? perInst[inst.id()] : 0;
     out.shards.push_back(std::move(row));
   }
-  out.placementsTotal = gateway_->placementsTotal();
+  out.placementsTotal = placements_;
   out.migrations = migrations_;
   out.migratedUsers = migratedUsers_;
   out.drains = drains_;
   out.crashes = crashes_;
-  out.reconnectsSticky = gateway_->reconnectsSticky();
-  out.reconnectsReplaced = gateway_->reconnectsReplaced();
+  out.reconnectsSticky = reconnectsSticky_;
+  out.reconnectsReplaced = reconnectsReplaced_;
   out.totalUsers = totalUsers();
   return out;
 }

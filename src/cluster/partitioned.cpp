@@ -84,8 +84,8 @@ PartitionedCluster::PartitionedCluster(PartitionedClusterConfig cfg)
     }
   }
 
-  // Placement: the gateway's LeastLoaded policy (accepting shard with the
-  // fewest assignments, lowest id on ties) over fresh, equal shards deals
+  // Placement: the cluster tier's least-loaded rule (accepting shard with
+  // the fewest assignments, lowest id on ties) over fresh, equal shards deals
   // users round-robin, so user u lands on shard u % shards as the
   // (u / shards)-th member. Every shard fills in lockstep until it reaches
   // the smaller positive cap of softUserCap (the shard stops accepting) and
@@ -125,7 +125,6 @@ PartitionedCluster::PartitionedCluster(PartitionedClusterConfig cfg)
     Shard& shard = shards_[s];
     shard.inst = std::make_unique<RelayInstance>(part.sim(), s, regionOf(s),
                                                  cfg_.dataSpec, cfg_.capacity);
-    shard.inst->activate();
     shard.inst->setDeliverySink(
         [this, s](std::uint32_t, std::uint64_t, const Message&) {
           ++shards_[s].delivered;
@@ -225,14 +224,12 @@ void PartitionedCluster::controlDrain(std::uint32_t source) {
     return;
   }
   accepting_[source] = false;
-  // Least-assigned accepting target, lowest id on ties (the gateway's
-  // migration probe, expressed on the control book).
+  // The cluster tier's placement rule on the control book: least-assigned
+  // accepting shard (the source no longer accepts), lowest id on ties.
   const auto shardCount = static_cast<std::uint32_t>(shards_.size());
-  std::uint32_t target = shardCount;
-  for (std::uint32_t s = 0; s < shardCount; ++s) {
-    if (s == source || !accepting_[s]) continue;
-    if (target == shardCount || assigned_[s] < assigned_[target]) target = s;
-  }
+  const std::uint32_t target = leastLoaded(
+      shardCount, [this](std::uint32_t s) -> bool { return accepting_[s]; },
+      [this](std::uint32_t s) { return assigned_[s]; });
   if (target == shardCount) {
     promiseControlLinks();
     return;  // nowhere to move the room

@@ -6,7 +6,7 @@
 // run no matter how many the host has. This layer re-expresses the planet
 // workload on pdes::Engine: each shard becomes its own logical process
 // (partition) with a private event loop, and one extra control partition
-// plays the gateway/autoscaler role (placement book, drain brokerage).
+// plays the placement role (placement book, drain brokerage).
 // Cross-partition traffic is exactly what crosses machines in the real
 // deployment — control-plane RPCs and room-migration snapshots — and rides
 // channels whose conservative lookahead is the geo fabric's trunk bound

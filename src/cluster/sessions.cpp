@@ -14,10 +14,11 @@ SessionCluster::SessionCluster(Simulator& sim, DataSpec dataSpec,
       mgr_{sim, std::move(dataSpec), cfg.cluster},
       hub_{sim, session::TokenAuthority{cfg.tokenSecret, cfg.tokenTtl},
            cfg.hub} {
-  hub_.setPlacer([this](std::uint64_t userId, const Region& region,
+  // Placement reads no region: every shard serves the same one.
+  hub_.setPlacer([this](std::uint64_t userId, const Region&,
                         bool reconnect) -> std::int32_t {
-    RelayInstance* inst = reconnect ? mgr_.reconnectUser(userId, region)
-                                    : mgr_.joinUser(userId, region);
+    RelayInstance* inst = reconnect ? mgr_.reconnectUser(userId)
+                                    : mgr_.joinUser(userId);
     return inst != nullptr ? static_cast<std::int32_t>(inst->id()) : -1;
   });
   hub_.setOnSessionDown(
@@ -99,7 +100,6 @@ ChurnWorkloadResult runChurnWorkload(std::uint64_t seed,
 
   SessionClusterConfig scc;
   scc.cluster.initialInstances = cfg.shards;
-  scc.cluster.policy = PlacementPolicy::LeastLoaded;
   scc.cluster.capacity.softUserCap = cfg.softUserCap;
   scc.session = cfg.session;
   scc.hub.connectCost = cfg.connectCost;

@@ -3,9 +3,9 @@
 // Session tier x cluster coupling, plus the churn workload family.
 //
 // SessionCluster glues a SessionHub (connection lifecycle, token auth,
-// channel recovery — src/session) to an InstanceManager (gateway placement,
-// relay shards — this directory): accepted sessions join their shard's relay
-// room through the gateway, severed sessions leave it but keep their sticky
+// channel recovery — src/session) to an InstanceManager (sticky placement,
+// relay shards — this directory): accepted sessions are placed and join
+// their shard's relay room, severed sessions leave it but keep their sticky
 // pin, and shard drain/crash produces *real* reconnect traffic instead of a
 // silent server-side re-home.
 //
@@ -38,12 +38,13 @@ class SessionCluster {
  public:
   SessionCluster(Simulator& sim, DataSpec dataSpec, SessionClusterConfig cfg);
 
-  /// Pre-sizes the session table, the user index, the gateway book, and the
+  /// Pre-sizes the session table, the user index, the pin table, and the
   /// shard rooms for `expected` sessions — the bulk-setup path large churn
   /// runs use so construction does not dominate the measurement window.
   void reserveSessions(std::size_t expected);
 
   /// Creates a session for `userId` (not yet connected; call connect()).
+  /// Placement ignores `region`: every shard serves the same one.
   session::Session& addSession(std::uint64_t userId, const Region& region);
   [[nodiscard]] session::Session* sessionOf(std::uint64_t userId);
 
@@ -57,7 +58,7 @@ class SessionCluster {
 
   /// Simulated shard failure: room members dropped with no migration, shard
   /// Stopped, session bindings severed *silently* — clients discover the
-  /// loss through their ping deadline and storm back through the gateway,
+  /// loss through their ping deadline and storm back through placement,
   /// which re-places them (the stale pin points at a Stopped shard).
   std::size_t crashShard(std::uint32_t id);
   /// Polite handoff: the room live-migrates and pins follow, then bindings

@@ -200,7 +200,6 @@ RunFingerprint auditedClusterRun(std::uint64_t seed) {
   sim.enableAudit(/*recordTrail=*/true);
   cluster::ClusterConfig cfg;
   cfg.initialInstances = 3;
-  cfg.policy = cluster::PlacementPolicy::LeastLoaded;
   cfg.capacity.cpuPerForwardUs = 200.0;
   cfg.capacity.cores = 1.0;
   DataSpec spec;
@@ -215,7 +214,7 @@ RunFingerprint auditedClusterRun(std::uint64_t seed) {
 
   const int users = 10;
   for (std::uint64_t u = 1; u <= users; ++u) {
-    mgr.joinUser(u, regions::usEast());
+    mgr.joinUser(u);
   }
   std::vector<std::uint64_t> seqs(users + 1, 0);
   std::vector<std::unique_ptr<PeriodicTask>> senders;

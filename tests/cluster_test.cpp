@@ -1,4 +1,4 @@
-// The src/cluster subsystem: gateway placement, the shard capacity model,
+// The src/cluster subsystem: sticky placement, the shard capacity model,
 // live room migration and cluster determinism.
 
 #include <gtest/gtest.h>
@@ -31,33 +31,16 @@ DataSpec detachedSpec() {
   return spec;
 }
 
-// --------------------------------------------------------------- gateway
-
-TEST(GatewayTest, FillToCapacityPacksLowestShardFirst) {
-  Simulator sim{1};
-  ClusterConfig cfg;
-  cfg.initialInstances = 3;
-  cfg.policy = PlacementPolicy::FillToCapacity;
-  cfg.capacity.softUserCap = 4;
-  InstanceManager mgr{sim, detachedSpec(), cfg};
-
-  for (std::uint64_t u = 1; u <= 10; ++u) {
-    ASSERT_NE(mgr.joinUser(u, regions::usEast()), nullptr);
-  }
-  EXPECT_EQ(mgr.instance(0)->userCount(), 4u);
-  EXPECT_EQ(mgr.instance(1)->userCount(), 4u);
-  EXPECT_EQ(mgr.instance(2)->userCount(), 2u);
-}
+// ------------------------------------------------------------- placement
 
 TEST(GatewayTest, LeastLoadedBalancesEvenly) {
   Simulator sim{1};
   ClusterConfig cfg;
   cfg.initialInstances = 4;
-  cfg.policy = PlacementPolicy::LeastLoaded;
   InstanceManager mgr{sim, detachedSpec(), cfg};
 
   for (std::uint64_t u = 1; u <= 20; ++u) {
-    ASSERT_NE(mgr.joinUser(u, regions::usEast()), nullptr);
+    ASSERT_NE(mgr.joinUser(u), nullptr);
   }
   for (std::uint32_t i = 0; i < 4; ++i) {
     EXPECT_EQ(mgr.instance(i)->userCount(), 5u) << "shard " << i;
@@ -69,60 +52,18 @@ TEST(GatewayTest, PlacementIsSticky) {
   Simulator sim{1};
   ClusterConfig cfg;
   cfg.initialInstances = 3;
-  cfg.policy = PlacementPolicy::LeastLoaded;
   InstanceManager mgr{sim, detachedSpec(), cfg};
 
-  RelayInstance* first = mgr.joinUser(7, regions::usEast());
+  RelayInstance* first = mgr.joinUser(7);
   ASSERT_NE(first, nullptr);
   // Load the other shards; the user's resolution must not move.
-  for (std::uint64_t u = 100; u < 110; ++u) mgr.joinUser(u, regions::usEast());
-  EXPECT_EQ(mgr.gateway().place(7, regions::usEast()), first);
+  for (std::uint64_t u = 100; u < 110; ++u) mgr.joinUser(u);
   EXPECT_EQ(mgr.instanceOf(7), first);
-}
-
-TEST(GatewayTest, RegionAffinityPrefersUserRegionThenSpillsOver) {
-  Simulator sim{1};
-  ClusterConfig cfg;
-  cfg.initialInstances = 2;
-  cfg.policy = PlacementPolicy::RegionAffinity;
-  cfg.capacity.softUserCap = 2;
-  cfg.regions = {regions::usEast(), regions::europe()};
-  InstanceManager mgr{sim, detachedSpec(), cfg};
-
-  // Shard 1 serves europe; European users land there first.
-  RelayInstance* a = mgr.joinUser(1, regions::europe());
-  RelayInstance* b = mgr.joinUser(2, regions::europe());
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(a->id(), 1u);
-  EXPECT_EQ(b->id(), 1u);
-  // Europe is at its soft cap; the third European spills to us-east.
-  RelayInstance* c = mgr.joinUser(3, regions::europe());
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->id(), 0u);
-  // Cluster full -> nullptr.
-  mgr.joinUser(4, regions::usEast());
-  EXPECT_EQ(mgr.joinUser(5, regions::usEast()), nullptr);
-}
-
-TEST(GatewayTest, SpunUpInstanceActivatesAfterDelay) {
-  Simulator sim{1};
-  ClusterConfig cfg;
-  cfg.initialInstances = 1;
-  cfg.capacity.softUserCap = 1;
-  cfg.spinUpDelay = Duration::seconds(2);
-  InstanceManager mgr{sim, detachedSpec(), cfg};
-
-  ASSERT_NE(mgr.joinUser(1, regions::usEast()), nullptr);
-  RelayInstance& fresh = mgr.spinUp(regions::usEast());
-  EXPECT_EQ(fresh.state(), InstanceState::Starting);
-  // Not yet bootable: the cluster is full while the new shard boots.
-  EXPECT_EQ(mgr.joinUser(2, regions::usEast()), nullptr);
-  sim.runFor(Duration::seconds(3));
-  EXPECT_EQ(fresh.state(), InstanceState::Active);
-  RelayInstance* placed = mgr.joinUser(3, regions::usEast());
-  ASSERT_NE(placed, nullptr);
-  EXPECT_EQ(placed->id(), fresh.id());
+  // Joining again resolves through the pin, although a fresh placement
+  // would now pick the least-loaded shard 2.
+  EXPECT_EQ(mgr.joinUser(7), first);
+  EXPECT_EQ(mgr.instanceOf(7), first);
+  EXPECT_EQ(mgr.stats().placementsTotal, 11u);
 }
 
 // --------------------------------------------------------- capacity model
@@ -132,7 +73,7 @@ TEST(CapacityModelTest, IdleShardStaysUninflated) {
   ClusterConfig cfg;
   cfg.initialInstances = 1;
   InstanceManager mgr{sim, detachedSpec(), cfg};
-  for (std::uint64_t u = 1; u <= 4; ++u) mgr.joinUser(u, regions::usEast());
+  for (std::uint64_t u = 1; u <= 4; ++u) mgr.joinUser(u);
   sim.runFor(Duration::seconds(5));
   EXPECT_DOUBLE_EQ(mgr.instance(0)->queueInflation(), 1.0);
   EXPECT_LT(mgr.instance(0)->utilization(), 0.01);
@@ -146,7 +87,7 @@ TEST(CapacityModelTest, SaturationInflatesProcessingDelay) {
   cfg.capacity.cpuPerForwardUs = 1000.0;
   cfg.capacity.cores = 1.0;
   InstanceManager mgr{sim, detachedSpec(), cfg};
-  for (std::uint64_t u = 1; u <= 10; ++u) mgr.joinUser(u, regions::usEast());
+  for (std::uint64_t u = 1; u <= 10; ++u) mgr.joinUser(u);
   RelayInstance& inst = *mgr.instance(0);
   const double baseFactor = inst.room().provisioningFactor();
 
@@ -245,12 +186,11 @@ TEST(MigrationTest, DrainDeliversEveryUpdateExactlyOnceInOrder) {
   Simulator sim{11};
   ClusterConfig cfg;
   cfg.initialInstances = 2;
-  cfg.policy = PlacementPolicy::LeastLoaded;
   InstanceManager mgr{sim, detachedSpec(), cfg};
 
   // LeastLoaded alternates the join order: odd users on shard 0, even on 1.
   for (std::uint64_t u = 1; u <= 8; ++u) {
-    ASSERT_NE(mgr.joinUser(u, regions::usEast()), nullptr);
+    ASSERT_NE(mgr.joinUser(u), nullptr);
   }
   ASSERT_EQ(mgr.instance(0)->userCount(), 4u);
   ASSERT_EQ(mgr.instance(1)->userCount(), 4u);
@@ -322,12 +262,35 @@ TEST(MigrationTest, DrainDeliversEveryUpdateExactlyOnceInOrder) {
   }
 }
 
+TEST(MigrationTest, DrainIsNotAPlacement) {
+  // Picking the drain target must not count as placing a user: the stats
+  // still read one placement per user joined.
+  Simulator sim{1};
+  ClusterConfig cfg;
+  cfg.initialInstances = 4;
+  InstanceManager mgr{sim, detachedSpec(), cfg};
+  for (std::uint64_t u = 1; u <= 20; ++u) {
+    ASSERT_NE(mgr.joinUser(u), nullptr);
+  }
+  ASSERT_EQ(mgr.stats().placementsTotal, 20u);
+  EXPECT_EQ(mgr.drain(3), 5u);
+  const ClusterStats stats = mgr.stats();
+  EXPECT_EQ(stats.placementsTotal, 20u);
+  EXPECT_EQ(stats.migratedUsers, 5u);
+  EXPECT_EQ(mgr.instance(0)->userCount(), 10u);
+  // The moved pins count on the target: the next arrival goes elsewhere.
+  RelayInstance* next = mgr.joinUser(21);
+  ASSERT_NE(next, nullptr);
+  EXPECT_EQ(next->id(), 1u);
+  EXPECT_EQ(mgr.stats().placementsTotal, 21u);
+}
+
 TEST(MigrationTest, DrainWithoutTargetKeepsServing) {
   Simulator sim{3};
   ClusterConfig cfg;
   cfg.initialInstances = 1;
   InstanceManager mgr{sim, detachedSpec(), cfg};
-  for (std::uint64_t u = 1; u <= 3; ++u) mgr.joinUser(u, regions::usEast());
+  for (std::uint64_t u = 1; u <= 3; ++u) mgr.joinUser(u);
   EXPECT_EQ(mgr.drain(0), 0u);
   EXPECT_EQ(mgr.instance(0)->state(), InstanceState::Draining);
   EXPECT_EQ(mgr.instance(0)->userCount(), 3u);
@@ -360,7 +323,7 @@ TEST(MigrationTest, BothRuntimesLeaveTheSameTargetRoom) {
   InstanceManager mgr{sim, pcfg.dataSpec, cfg};
   for (std::uint64_t id = 1; id <= 24; ++id) {
     const auto shard = static_cast<std::uint32_t>((id - 1) % 4);
-    RelayInstance* inst = mgr.joinUser(id, regions::usEast());
+    RelayInstance* inst = mgr.joinUser(id);
     ASSERT_NE(inst, nullptr);
     ASSERT_EQ(inst->id(), shard) << "user " << id;
   }
@@ -427,7 +390,6 @@ ClusterDigest runClusterScenario(std::uint64_t seed) {
   Simulator sim{seed};
   ClusterConfig cfg;
   cfg.initialInstances = 3;
-  cfg.policy = PlacementPolicy::LeastLoaded;
   cfg.capacity.cpuPerForwardUs = 200.0;
   cfg.capacity.cores = 1.0;
   InstanceManager mgr{sim, detachedSpec(), cfg};
@@ -441,7 +403,7 @@ ClusterDigest runClusterScenario(std::uint64_t seed) {
   });
 
   const int users = 12;
-  for (std::uint64_t u = 1; u <= users; ++u) mgr.joinUser(u, regions::usEast());
+  for (std::uint64_t u = 1; u <= users; ++u) mgr.joinUser(u);
   std::vector<std::uint64_t> seqs(users + 1, 0);
   std::vector<std::unique_ptr<PeriodicTask>> senders;
   for (std::uint64_t u = 1; u <= users; ++u) {

@@ -460,7 +460,6 @@ RunFingerprint auditedInterestClusterRun(std::uint64_t seed) {
   sim.enableAudit(/*recordTrail=*/true);
   cluster::ClusterConfig cfg;
   cfg.initialInstances = 3;
-  cfg.policy = cluster::PlacementPolicy::LeastLoaded;
   cfg.capacity.cpuPerForwardUs = 200.0;
   cfg.capacity.cores = 1.0;
   DataSpec spec = gridSpec();
@@ -480,7 +479,7 @@ RunFingerprint auditedInterestClusterRun(std::uint64_t seed) {
 
   const int users = 10;
   for (std::uint64_t u = 1; u <= users; ++u) {
-    mgr.joinUser(u, regions::usEast());
+    mgr.joinUser(u);
   }
   std::vector<std::uint64_t> seqs(users + 1, 0);
   std::vector<std::uint64_t> ticks(users + 1, 0);

@@ -1,6 +1,6 @@
 // The src/session subsystem: connection state machine, token auth, ping
 // liveness, reconnect backoff, channel recovery — and its coupling to the
-// cluster (gateway reconnect placement).
+// cluster (sticky reconnect placement).
 
 #include <gtest/gtest.h>
 
@@ -495,7 +495,7 @@ TEST(SessionBatchTest, ReconnectDuringReplayDropsTheStaleReplay) {
 }  // namespace
 }  // namespace msim::session
 
-// ---------------------------------------------- gateway reconnect placement
+// ----------------------------------------------- sticky reconnect placement
 
 namespace msim::cluster {
 namespace {
@@ -510,13 +510,12 @@ TEST(GatewaySessionReconnectTest, ReconnectIsStickyWhileTheShardIsAlive) {
   Simulator sim{1};
   ClusterConfig cfg;
   cfg.initialInstances = 3;
-  cfg.policy = PlacementPolicy::LeastLoaded;
   InstanceManager mgr{sim, plainSpec(), cfg};
 
-  RelayInstance* a = mgr.joinUser(42, regions::usEast());
+  RelayInstance* a = mgr.joinUser(42);
   ASSERT_NE(a, nullptr);
   mgr.suspendUser(42);  // binding lost, pin kept
-  RelayInstance* b = mgr.reconnectUser(42, regions::usEast());
+  RelayInstance* b = mgr.reconnectUser(42);
   EXPECT_EQ(b, a);
   EXPECT_EQ(mgr.stats().reconnectsSticky, 1u);
   EXPECT_EQ(mgr.stats().reconnectsReplaced, 0u);
@@ -526,13 +525,12 @@ TEST(GatewaySessionReconnectTest, CrashedPinIsReplacedThroughPolicy) {
   Simulator sim{2};
   ClusterConfig cfg;
   cfg.initialInstances = 3;
-  cfg.policy = PlacementPolicy::LeastLoaded;
   InstanceManager mgr{sim, plainSpec(), cfg};
 
-  RelayInstance* a = mgr.joinUser(42, regions::usEast());
+  RelayInstance* a = mgr.joinUser(42);
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(mgr.crash(a->id()), 1u);
-  RelayInstance* b = mgr.reconnectUser(42, regions::usEast());
+  RelayInstance* b = mgr.reconnectUser(42);
   ASSERT_NE(b, nullptr);
   EXPECT_NE(b->id(), a->id());
   EXPECT_EQ(b->state(), InstanceState::Active);
@@ -544,14 +542,13 @@ TEST(GatewaySessionReconnectTest, DrainedPinFollowsTheMigrationTarget) {
   Simulator sim{3};
   ClusterConfig cfg;
   cfg.initialInstances = 2;
-  cfg.policy = PlacementPolicy::LeastLoaded;
   InstanceManager mgr{sim, plainSpec(), cfg};
 
-  RelayInstance* a = mgr.joinUser(42, regions::usEast());
+  RelayInstance* a = mgr.joinUser(42);
   ASSERT_NE(a, nullptr);
   mgr.drain(a->id());  // pin reassigned to the migration target
   mgr.suspendUser(42);
-  RelayInstance* b = mgr.reconnectUser(42, regions::usEast());
+  RelayInstance* b = mgr.reconnectUser(42);
   ASSERT_NE(b, nullptr);
   EXPECT_NE(b->id(), a->id());
   EXPECT_EQ(mgr.stats().reconnectsSticky, 1u);  // the moved pin was honoured
