@@ -20,9 +20,16 @@ std::uint32_t SessionHub::registerSession(Session* s) {
   } else {
     id = static_cast<std::uint32_t>(recs_.size());
     recs_.emplace_back();
+    recs_.back().expiry = std::make_unique<Timer>(sim_, [this, id] {
+      ++stats_.expiries;
+      sever(recs_[id], /*notifyClient=*/true);
+    });
   }
-  recs_[id] = Rec{};
-  recs_[id].s = s;
+  Rec& r = recs_[id];
+  r.s = s;
+  r.connected = false;
+  r.shard = -1;
+  r.epoch = 0;
   return id;
 }
 
@@ -30,7 +37,7 @@ void SessionHub::deregisterSession(std::uint32_t id) {
   if (id >= recs_.size() || recs_[id].s == nullptr) return;
   Rec& r = recs_[id];
   if (r.connected) sever(r, /*notifyClient=*/false);
-  sim_.cancel(r.expiry);
+  r.expiry->cancel();
   broker_.unsubscribeAll(id);
   r.s = nullptr;
   freeIds_.push_back(id);
@@ -109,29 +116,11 @@ void SessionHub::acceptOrReject(const PendingConnect& p) {
   r.connected = true;
   r.shard = shard;
   r.epoch = epoch;
-  r.tokenExpiresAt = p.token.expiresAt;
-  armExpiry(id);
+  r.expiry->armAt(p.token.expiresAt);
   ++stats_.accepts;
   if (onUp_) onUp_(*s);
   sim_.scheduleAfter(downlinkDelay(*s), [this, id, epoch, shard] {
     if (Session* s = sessionAt(id)) s->onAccept(epoch, shard);
-  });
-}
-
-void SessionHub::armExpiry(std::uint32_t id) {
-  Rec& r = recs_[id];
-  sim_.cancel(r.expiry);
-  Duration d = r.tokenExpiresAt - sim_.now();
-  if (d < Duration::zero()) d = Duration::zero();
-  r.expiry = sim_.scheduleAfter(d, [this, id] {
-    Rec& r = recs_[id];
-    if (r.s == nullptr || !r.connected) return;
-    if (r.tokenExpiresAt > sim_.now()) {  // refreshed while this was queued
-      armExpiry(id);
-      return;
-    }
-    ++stats_.expiries;
-    sever(r, /*notifyClient=*/true);
   });
 }
 
@@ -140,8 +129,7 @@ void SessionHub::clientRefresh(std::uint32_t id, std::uint64_t epoch,
   Rec& r = recs_[id];
   if (r.s == nullptr || !r.connected || r.epoch != epoch) return;
   if (!authority_.validate(token, sim_.now())) return;  // expiry timer decides
-  r.tokenExpiresAt = token.expiresAt;
-  armExpiry(id);
+  r.expiry->armAt(token.expiresAt);
   ++stats_.refreshes;
 }
 
@@ -200,7 +188,7 @@ void SessionHub::closeSession(std::uint32_t id) {
   Rec& r = recs_[id];
   if (r.s == nullptr) return;
   if (r.connected) sever(r, /*notifyClient=*/false);
-  sim_.cancel(r.expiry);
+  r.expiry->cancel();
   broker_.unsubscribeAll(id);
   ++stats_.closes;
   if (onClosed_) onClosed_(*r.s);
@@ -288,7 +276,7 @@ std::size_t SessionHub::disconnectAll(bool notifyClients) {
 void SessionHub::sever(Rec& r, bool notifyClient) {
   if (!r.connected) return;
   r.connected = false;
-  sim_.cancel(r.expiry);
+  r.expiry->cancel();
   --connected_;
   // Fan-out must stop the instant the binding dies: a live publish racing
   // the client's later resume would otherwise arrive before the replay and

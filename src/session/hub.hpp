@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "session/history.hpp"
@@ -128,14 +129,15 @@ class SessionHub {
   }
 
  private:
-  /// Server-side view of one session.
+  /// Server-side view of one session. Ids are recycled in place, and each
+  /// id keeps its expiry Timer (out of line, so the records the fan-out
+  /// walks stay compact).
   struct Rec {
     Session* s{nullptr};
     bool connected{false};
     std::int32_t shard{-1};
-    std::uint64_t epoch{0};       // epoch of the accepted connection
-    TimePoint tokenExpiresAt;
-    EventId expiry;
+    std::uint64_t epoch{0};  // epoch of the accepted connection
+    std::unique_ptr<Timer> expiry;  // at the token's expiry while connected
   };
   struct PendingConnect {
     std::uint32_t id{0};
@@ -161,7 +163,6 @@ class SessionHub {
 
   void processNextConnect();
   void acceptOrReject(const PendingConnect& p);
-  void armExpiry(std::uint32_t id);
   void sever(Rec& r, bool notifyClient);
   /// Adds a delivery to the open batch for `s`'s downlink delay.
   void enqueue(const Session& s, const Delivery& d);

@@ -68,10 +68,13 @@ void Session::setState(ConnectionState s) {
 }
 
 void Session::cancelTimers() {
-  ping_.disarm();
-  pongDeadline_.disarm();
-  reconnect_.disarm();
-  refresh_.disarm();
+  // Cancel, not disarm: a disarmed timer leaves its pending event to fire
+  // once as a no-op, and a disconnect has no use for any of these four
+  // (the reconnect paths re-arm reconnect_ afresh).
+  ping_.cancel();
+  pongDeadline_.cancel();
+  reconnect_.cancel();
+  refresh_.cancel();
 }
 
 Session::Subscription* Session::findSub(std::uint64_t channel) {

@@ -214,6 +214,44 @@ TEST(SessionTest, CloseIsTerminalAndReleasesServerState) {
   EXPECT_EQ(s->state(), ConnectionState::Closed);
 }
 
+TEST(SessionTest, DisconnectLeavesOnlyTheByeInFlight) {
+  BareHub b{7};
+  SessionConfig cfg = fastSession();
+  cfg.tokenRefreshLead = Duration::seconds(30);
+  Session s{b.hub, cfg, 42, regions::usEast()};
+  s.connect();
+  b.sim.runFor(Duration::seconds(3));  // a ping answered, the next armed
+  ASSERT_EQ(s.state(), ConnectionState::Connected);
+  s.disconnect();
+  // The ping and refresh timers take their events with them. Left: the
+  // bye in flight and the hub's token expiry, which goes when the bye lands.
+  EXPECT_EQ(b.sim.liveEvents(), 2u);
+  b.sim.runFor(Duration::seconds(1));
+  EXPECT_TRUE(b.sim.idle());
+  EXPECT_EQ(b.hub.stats().byes, 1u);
+}
+
+TEST(SessionTest, RecycledHubRecordExpiresOnItsOwnToken) {
+  BareHub b{8, Duration::seconds(3)};
+  SessionConfig cfg = fastSession();
+  cfg.tokenRefreshLead = Duration::zero();  // never refresh
+  auto first = std::make_unique<Session>(b.hub, cfg, 1, regions::usEast());
+  first->connect();
+  b.sim.runFor(Duration::seconds(1));
+  ASSERT_EQ(first->state(), ConnectionState::Connected);
+  const std::uint32_t id = first->id();
+  first.reset();  // its token would expire just after 3 s
+
+  Session second{b.hub, cfg, 2, regions::usEast()};
+  ASSERT_EQ(second.id(), id);  // the record is recycled in place
+  second.connect();
+  b.sim.runFor(Duration::seconds(2.5));
+  ASSERT_EQ(second.state(), ConnectionState::Connected);
+  EXPECT_EQ(b.hub.stats().expiries, 0u);  // the first token's expiry is gone
+  b.sim.runFor(Duration::seconds(1));
+  EXPECT_EQ(b.hub.stats().expiries, 1u);  // the second token's, at ~4 s
+}
+
 // --------------------------------------------------------------- backoff
 
 TEST(SessionBackoffTest, SynchronizedDelaysAreTheExactExponentialCeiling) {
