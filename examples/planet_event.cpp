@@ -14,8 +14,8 @@
 // over — every orphaned client discovers the death through its ping
 // deadline, backs off with jitter, and storms back through placement,
 // which re-places the stale pins, while the hub replays each channel's
-// missed interval from history. The run prints the storm draining and gates on the
-// exactly-once ledger: zero lost, zero duplicate, zero out-of-order.
+// missed interval from history. The run prints the storm draining and gates
+// on the exactly-once ledger: zero lost, zero duplicate, zero out-of-order.
 
 #include <cstdio>
 #include <cstdlib>

@@ -6,14 +6,13 @@
 
 namespace msim::cluster {
 
-InstanceManager::InstanceManager(Simulator& sim, DataSpec dataSpec,
-                                 ClusterConfig cfg)
-    : sim_{sim}, cfg_{std::move(cfg)} {
+InstanceManager::InstanceManager(Simulator& sim, const DataSpec& dataSpec,
+                                 const ClusterConfig& cfg) {
   const auto count =
-      static_cast<std::uint32_t>(std::max(cfg_.initialInstances, 0));
+      static_cast<std::uint32_t>(std::max(cfg.initialInstances, 0));
   for (std::uint32_t id = 0; id < count; ++id) {
     instances_.push_back(std::make_unique<RelayInstance>(
-        sim_, id, regions::usEast(), dataSpec, cfg_.capacity));
+        sim, id, regions::usEast(), dataSpec, cfg.capacity));
   }
   pinned_.assign(count, 0);
 }
@@ -26,7 +25,7 @@ void InstanceManager::reserveUsers(std::size_t expectedTotal) {
   for (auto& inst : instances_) inst->room().reserveUsers(perShard);
 }
 
-// ---- placement ---------------------------------------------------------------
+// ---- placement -------------------------------------------------------------
 
 RelayInstance* InstanceManager::pick(std::uint32_t excluding) const {
   const auto count = static_cast<std::uint32_t>(instances_.size());
@@ -101,7 +100,7 @@ RelayRoom* InstanceManager::roomOf(std::uint64_t userId) {
   return inst != nullptr ? &inst->room() : nullptr;
 }
 
-// ---- lifecycle / migration ---------------------------------------------------
+// ---- lifecycle / migration -------------------------------------------------
 
 std::size_t InstanceManager::drain(std::uint32_t instanceId) {
   RelayInstance* source = instance(instanceId);

@@ -25,8 +25,8 @@
 
 namespace msim::cluster {
 
-/// Placement rules. Least-loaded accepting shard, lowest id on ties, is the
-/// only one any workload runs.
+/// The placement rule: least-loaded accepting shard, lowest id on ties. The
+/// enum and ClusterConfig::policy remain only because callers assign them.
 enum class PlacementPolicy : std::uint8_t { LeastLoaded };
 
 struct ClusterConfig {
@@ -63,10 +63,9 @@ struct ClusterStats {
 
 class InstanceManager {
  public:
-  InstanceManager(Simulator& sim, DataSpec dataSpec, ClusterConfig cfg);
+  InstanceManager(Simulator& sim, const DataSpec& dataSpec,
+                  const ClusterConfig& cfg);
 
-  [[nodiscard]] Simulator& sim() { return sim_; }
-  [[nodiscard]] const ClusterConfig& config() const { return cfg_; }
   [[nodiscard]] const std::vector<std::unique_ptr<RelayInstance>>& instances()
       const {
     return instances_;
@@ -136,8 +135,6 @@ class InstanceManager {
   void pin(std::uint64_t userId, std::uint32_t instanceId);
   void unpin(std::uint64_t userId);
 
-  Simulator& sim_;
-  ClusterConfig cfg_;
   std::vector<std::unique_ptr<RelayInstance>> instances_;
   FlatMap64<std::uint32_t> pins_;     // userId -> shard id
   std::vector<std::uint32_t> pinned_;  // pins per shard id

@@ -11,7 +11,7 @@ SessionCluster::SessionCluster(Simulator& sim, DataSpec dataSpec,
                                SessionClusterConfig cfg)
     : sim_{sim},
       cfg_{cfg},
-      mgr_{sim, std::move(dataSpec), cfg.cluster},
+      mgr_{sim, dataSpec, cfg.cluster},
       hub_{sim, session::TokenAuthority{cfg.tokenSecret, cfg.tokenTtl},
            cfg.hub} {
   // Placement reads no region: every shard serves the same one.
