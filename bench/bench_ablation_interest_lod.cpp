@@ -45,12 +45,12 @@ LodPoint runPoint(int users, bool lod, std::uint64_t seed) {
         Pose{radius * std::cos(angle), radius * std::sin(angle), 180.0});
     bed.user(i).client->setFaceTarget(0, 0);
   }
-  bed.sim().schedule(TimePoint::epoch(), [&] {
-    for (auto& u : bed.users()) {
-      u->client->launch();
-      u->client->joinEvent();
-    }
-  });
+  DriverScript script;
+  for (int i = 0; i < users; ++i) {
+    script.launch(Duration::zero(), i).join(Duration::zero(), i);
+  }
+  AutoDriver driver{bed};
+  driver.play(script);
   bed.sim().runFor(Duration::seconds(60));
 
   LodPoint p;

@@ -42,12 +42,12 @@ PredPoint runPoint(double leadMs, std::uint64_t seed) {
         Pose{3.0 * std::cos(angle), 3.0 * std::sin(angle), 180.0});
     bed.user(i).client->setFaceTarget(0, 0);
   }
-  bed.sim().schedule(TimePoint::epoch(), [&] {
-    for (auto& u : bed.users()) {
-      u->client->launch();
-      u->client->joinEvent();
-    }
-  });
+  DriverScript script;
+  for (int i = 0; i < kUsers; ++i) {
+    script.launch(Duration::zero(), i).join(Duration::zero(), i);
+  }
+  AutoDriver driver{bed};
+  driver.play(script);
   // Fast smooth rotation (180°/s): the pose pipeline lags by ~150-200 ms,
   // so with no prediction the filter's wedge trails the user's real gaze by
   // more than the 26.5° safety margin — newly visible avatars arrive stale.

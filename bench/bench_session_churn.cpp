@@ -17,18 +17,22 @@
 //
 // The herd comparison then force-disconnects every session at one instant
 // and runs the same recovery twice — synchronized backoff vs full jitter
-// from the sim RNG — and gates on jitter measurably flattening the peak
-// connect-queue inflation (peakConnectQueueDelay / connectCost).
+// from the sim RNG — and gates the jittered run's peak connect queue
+// against the analytic bound for uniformly spread retries (herdPeakLimit).
 //
 // Exit gates (non-zero exit on failure):
 //   * zero loss / zero duplicates / zero gaps in every scenario seed
-//   * jittered peak inflation < 1/2 synchronized peak inflation
+//   * jittered peak queue <= max(0, N - W/connectCost) + 3*sqrt(N) <
+//     synchronized peak queue
 //   * audit digests byte-identical across MSIM_THREADS {1,2,8}
 //
-// Knobs: MSIM_CHURN_SESSIONS (default 1000), MSIM_CHURN_SHARDS (8),
+// Knobs: MSIM_CHURN_SESSIONS (default 1000; the herd gate holds for 10 to
+//        54,444 sessions, other counts exit 2), MSIM_CHURN_SHARDS (8),
 //        MSIM_CHURN_CHANNELS (16), plus the common MSIM_SEEDS.
 
+#include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -58,6 +62,34 @@ ChurnWorkloadConfig baseConfig() {
   cfg.session.minReconnectDelay = Duration::millis(200);
   cfg.session.maxReconnectDelay = Duration::seconds(5);
   return cfg;
+}
+
+/// The thundering herd: every session force-disconnected at 20 s.
+ChurnWorkloadConfig herdConfig(const ChurnWorkloadConfig& base) {
+  ChurnWorkloadConfig herd = base;
+  herd.herdAt = Duration::seconds(20);
+  herd.connectCost = Duration::millis(2);
+  herd.session.backoffFactor = 8.0;
+  return herd;
+}
+
+/// The highest connect queue a run with jittered retries may reach. The
+/// initial connects and the herd's first retries each land uniformly over a
+/// window W (the connect window; the first backoff draw's span), and the hub
+/// drains one connect per connectCost, so a phase queues at most
+/// max(0, N - W/connectCost). N uniform draws stray from an even spread by
+/// more than 3*sqrt(N) with probability below 2e^-18 (Kolmogorov-Smirnov).
+/// Synchronized retries land at once and queue all N.
+double herdPeakLimit(const ChurnWorkloadConfig& herd) {
+  const session::SessionConfig& s = herd.session;
+  const Duration firstRetrySpan =
+      std::min(s.maxReconnectDelay, s.minReconnectDelay * s.backoffFactor) -
+      s.minReconnectDelay;
+  const double window =
+      std::min(firstRetrySpan, herd.connectWindow).toSeconds();
+  const double n = herd.sessions;
+  return std::max(0.0, n - window / herd.connectCost.toSeconds()) +
+         3.0 * std::sqrt(n);
 }
 
 struct ScenarioAgg {
@@ -109,6 +141,17 @@ int main() {
   const int seedCount = bench::seedCount(3);
   const auto seeds = defaultSeeds(seedCount);
   const ChurnWorkloadConfig base = baseConfig();
+  const ChurnWorkloadConfig herd = herdConfig(base);
+  const double herdLimit = herdPeakLimit(herd);
+  if (herdLimit >= base.sessions) {
+    std::fprintf(stderr,
+                 "bench_session_churn: MSIM_CHURN_SESSIONS=%d is outside the "
+                 "herd gate's valid range (10 to 54,444 sessions): a "
+                 "synchronized herd of that size would not exceed the "
+                 "jittered bound of %.0f\n",
+                 base.sessions, herdLimit);
+    return 2;
+  }
   bench::header(
       "Session churn — " + std::to_string(base.sessions) + " sessions, " +
           std::to_string(base.shards) + " shards, " +
@@ -160,29 +203,24 @@ int main() {
   // Thundering herd: same seed, same forced disconnect, backoff style
   // flipped. Synchronized retries arrive in lockstep and pile the connect
   // queue; full jitter spreads the same load across the backoff window.
-  ChurnWorkloadConfig herd = base;
-  herd.herdAt = Duration::seconds(20);
-  herd.connectCost = Duration::millis(2);
-  herd.session.backoffFactor = 8.0;
   ChurnWorkloadConfig herdSync = herd;
   herdSync.session.jitteredBackoff = false;
   const ChurnWorkloadResult sync = runChurnWorkload(seeds[0], herdSync);
   const ChurnWorkloadResult jit = runChurnWorkload(seeds[0], herd);
   lostTotal += sync.lost + sync.duplicates + sync.gaps;
   lostTotal += jit.lost + jit.duplicates + jit.gaps;
-  const bool herdOk = jit.peakQueueInflation < sync.peakQueueInflation / 2.0;
+  const bool herdOk =
+      static_cast<double>(jit.peakPendingConnects) <= herdLimit &&
+      static_cast<double>(sync.peakPendingConnects) > herdLimit;
   std::printf(
       "\nthundering herd (forced disconnect of %zu sessions, factor %.0f):\n"
       "  synchronized backoff: peak queue %zu, peak inflation %.1f slots\n"
       "  jittered backoff:     peak queue %zu, peak inflation %.1f slots\n"
-      "  jitter flattens the peak %.1fx (gate: > 2x)  [%s]\n",
+      "  gate: jittered peak <= %.0f (uniform-spread bound) < synchronized "
+      "peak  [%s]\n",
       sync.sessions, herd.session.backoffFactor, sync.peakPendingConnects,
       sync.peakQueueInflation, jit.peakPendingConnects,
-      jit.peakQueueInflation,
-      jit.peakQueueInflation > 0.0
-          ? sync.peakQueueInflation / jit.peakQueueInflation
-          : 0.0,
-      herdOk ? "ok" : "FAIL");
+      jit.peakQueueInflation, herdLimit, herdOk ? "ok" : "FAIL");
 
   // Cross-thread-count determinism: the crash-storm scenario, swept at 1 vs
   // 2 and 1 vs 8 workers, must fingerprint identically per seed.

@@ -627,14 +627,10 @@ void BM_TwoUserPlatformSecond(benchmark::State& state) {
     state.PauseTiming();
     Testbed bed{1};
     bed.deploy(platforms::vrchat());
-    TestUser& u1 = bed.addUser();
-    TestUser& u2 = bed.addUser();
-    bed.sim().schedule(TimePoint::epoch(), [&] {
-      u1.client->launch();
-      u2.client->launch();
-      u1.client->joinEvent();
-      u2.client->joinEvent();
-    });
+    bed.addUser();
+    bed.addUser();
+    AutoDriver driver{bed};
+    driver.play(launchThenJoinScript(2, Duration::zero(), Duration::zero()));
     bed.sim().runFor(Duration::seconds(2));  // warm-up outside timing
     state.ResumeTiming();
     bed.sim().runFor(Duration::seconds(10));

@@ -133,10 +133,8 @@ int main() {
     Testbed bed{9};
     bed.deploy(platforms::hubs());
     TestUser& u1 = bed.addUser();
-    bed.sim().schedule(TimePoint::epoch(), [&] {
-      u1.client->launch();
-      u1.client->joinEvent();
-    });
+    AutoDriver driver{bed};
+    driver.play(launchThenJoinScript(1, Duration::zero(), Duration::zero()));
     bed.sim().runFor(Duration::seconds(20));
     if (const auto rtt = u1.client->webrtcRtt()) {
       std::printf("\nHubs RTP/RTCP RTT via WebRTC stats: %.1f ms (paper: 73.5)\n",

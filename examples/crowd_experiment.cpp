@@ -1,7 +1,7 @@
-// Crowd experiment driven by AutoDriver scripts (§9): the paper's authors
+// Crowd experiment driven by an AutoDriver script (§9): the paper's authors
 // describe extending Oculus' AutoDriver to run large-scale crowd-sourced
-// measurements from pre-defined inputs. Here each participant replays a
-// text script; the harness collects the familiar metrics.
+// measurements from pre-defined inputs. Here each participant replays the
+// same text script, staggered; the harness collects the familiar metrics.
 //
 //   ./crowd_experiment [platform] [participants] [replicates]
 //
@@ -47,7 +47,8 @@ std::vector<UserRow> runCrowdSession(const PlatformSpec& spec,
                                      int participants, std::uint64_t seed) {
   Testbed bed{seed};
   bed.deploy(spec);
-  std::vector<std::unique_ptr<AutoDriver>> drivers;
+  const DriverScript session = DriverScript::parse(kScriptTemplate);
+  DriverScript script;
   for (int i = 0; i < participants; ++i) {
     TestUserConfig cfg;
     cfg.wander = false;
@@ -56,10 +57,14 @@ std::vector<UserRow> runCrowdSession(const PlatformSpec& spec,
     const double angle = 2.0 * M_PI * i / participants;
     user.client->motion().setPose(
         Pose{4.0 * std::cos(angle), 4.0 * std::sin(angle), 0});
-    drivers.push_back(std::make_unique<AutoDriver>(bed, user));
-    drivers.back()->play(DriverScript::parse(kScriptTemplate),
-                         TimePoint::epoch() + Duration::seconds(5.0 * i));
+    for (DriverStep step : session.steps()) {
+      step.at = Duration::seconds(5.0 * i) + step.at;
+      step.user = i;
+      script.add(step);
+    }
   }
+  AutoDriver driver{bed};
+  driver.play(script);
 
   const double endSec = 5.0 * participants + 85.0;
   bed.sim().runFor(Duration::seconds(endSec));
@@ -76,7 +81,7 @@ std::vector<UserRow> runCrowdSession(const PlatformSpec& spec,
     int actsSeen = 0;
     for (int j = 0; j < participants; ++j) {
       if (j == i) continue;
-      for (const std::uint64_t action : drivers[j]->actionsPerformed()) {
+      for (const std::uint64_t action : driver.actionsPerformed(j)) {
         if (user.headset->firstDisplayLocal(action)) ++actsSeen;
       }
     }

@@ -6,6 +6,8 @@
 // point at (§4.2): a fleet of relay instances, each user pinned to the
 // least-loaded one, an instance drained live mid-event (its room migrates
 // with zero loss), and late arrivals spread over the shards that remain.
+// It exits 1 if any avatar update failed to reach a room-mate, or if any
+// user ends the event without a room on an Active shard.
 //
 //   ./planet_event [users] [instances] [--churn]
 //
@@ -22,6 +24,7 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "avatar/codec.hpp"
 #include "avatar/spec.hpp"
@@ -153,19 +156,23 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Everyone animates at the avatar update rate.
+  // Everyone animates at the avatar update rate; each update is owed to
+  // every other member of the sender's room.
   AvatarSpec avatar;
   Message pose;
   pose.kind = avatarmsg::kPoseUpdate;
   pose.size = avatar.bytesPerUpdate;
   std::uint64_t seq = 0;
+  std::uint64_t owed = 0;
   PeriodicTask pacer{sim, Duration::seconds(1.0 / avatar.updateRateHz), [&] {
                        for (const auto& inst : mgr.instances()) {
-                         if (inst->userCount() < 2) continue;
+                         const std::size_t members = inst->userCount();
+                         if (members < 2) continue;
                          for (const std::uint64_t id : inst->room().userIds()) {
                            pose.senderId = id;
                            pose.sequence = ++seq;
                            inst->room().broadcast(id, pose);
+                           owed += members - 1;
                          }
                        }
                      }};
@@ -190,8 +197,33 @@ int main(int argc, char** argv) {
   sim.runFor(Duration::seconds(5));
   printCluster(mgr, 15);
 
-  std::printf("\n%llu avatar updates delivered; every user kept a live room "
-              "throughout.\n",
-              static_cast<unsigned long long>(delivered));
-  return 0;
+  // Stop animating and let the updates in flight land before the tally: a
+  // busy shard's queue holds up to a few seconds of fan-out.
+  pacer.stop();
+  for (int s = 0; s < 60 && delivered < owed; ++s) {
+    sim.runFor(Duration::seconds(1));
+  }
+  const auto everyone = static_cast<std::uint64_t>(users + 40);
+  std::vector<bool> seated(everyone + 1, false);
+  for (const auto& inst : mgr.instances()) {
+    if (inst->state() != InstanceState::Active) continue;
+    for (const std::uint64_t id : inst->room().userIds()) {
+      if (id <= everyone) seated[id] = true;
+    }
+  }
+  std::uint64_t roomless = 0;
+  for (std::uint64_t id = 1; id <= everyone; ++id) {
+    if (!seated[id]) ++roomless;
+  }
+  std::printf("\n%llu of %llu avatar updates delivered; %llu of %llu users "
+              "without a live room\n",
+              static_cast<unsigned long long>(delivered),
+              static_cast<unsigned long long>(owed),
+              static_cast<unsigned long long>(roomless),
+              static_cast<unsigned long long>(everyone));
+  const bool ok = delivered == owed && roomless == 0;
+  std::printf("%s\n", ok ? "zero loss: every user kept a live room throughout."
+                         : "FAIL: updates lost or users left without a live "
+                           "room");
+  return ok ? 0 : 1;
 }

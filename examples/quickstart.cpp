@@ -38,18 +38,15 @@ int main(int argc, char** argv) {
   alice.client->setFaceTarget(2, 0);
   bob.client->setFaceTarget(0, 0);
 
-  // 2. Launch the apps (welcome page + background downloads), then join a
-  //    private event, then talk for a while.
-  bed.sim().schedule(TimePoint::epoch(), [&] {
-    alice.client->launch();
-    bob.client->launch();
-  });
-  bed.sim().schedule(TimePoint::epoch() + Duration::seconds(10), [&] {
-    alice.client->joinEvent();
-    bob.client->joinEvent();
-    alice.client->setMuted(false);  // quickstart users actually speak
-    bob.client->setMuted(false);
-  });
+  // 2. Script the session (AutoDriver, §9): launch the apps (welcome page
+  //    + background downloads), then join a private event at 10 s and talk.
+  DriverScript script =
+      launchThenJoinScript(2, Duration::zero(), Duration::seconds(10));
+  for (int u = 0; u < 2; ++u) {
+    script.mute(Duration::seconds(10), u, false);  // quickstart users speak
+  }
+  AutoDriver driver{bed};
+  driver.play(script);
 
   // 3. Probe end-to-end latency with the paper's finger-touch method.
   LatencyProbe probe{bed, alice, bob};

@@ -32,14 +32,14 @@ int main(int argc, char** argv) {
   for (int i = 0; i < maxUsers; ++i) bed.addUser();
   arrangeUsersForSweep(bed);  // everyone visible to user 0
 
-  bed.sim().schedule(TimePoint::epoch(), [&] {
-    for (auto& u : bed.users()) u->client->launch();
-  });
-  // One join every 10 s.
-  for (int i = 0; i < maxUsers; ++i) {
-    bed.sim().schedule(TimePoint::epoch() + Duration::seconds(5 + 10 * i),
-                       [&, i] { bed.user(i).client->joinEvent(); });
-  }
+  // Everyone launches at once; one join every 10 s from 5 s on. Once the
+  // last user is in, user 0 turns 180° to show the viewport effect.
+  const double tTurn = 5.0 + 10.0 * maxUsers;
+  DriverScript script = launchThenJoinScript(
+      maxUsers, Duration::zero(), Duration::seconds(5), Duration::seconds(10));
+  script.snapTurn(Duration::seconds(tTurn), 0, 8);
+  AutoDriver driver{bed};
+  driver.play(script);
 
   TestUser& watcher = bed.user(0);
   std::printf("%8s %8s %12s %8s %8s %8s %8s\n", "time", "users", "down Kbps",
@@ -65,9 +65,7 @@ int main(int argc, char** argv) {
       "viewport — try './social_event altspacevr %d' and then turn away:\n",
       maxUsers);
 
-  // Demonstrate the viewport effect at the end: user 0 turns 180°.
-  watcher.client->motion().turnSteps(8);
-  const double tTurn = bed.sim().now().toSeconds();
+  // The viewport effect at the end: user 0 turned 180° at tTurn.
   bed.sim().runFor(Duration::seconds(15));
   std::printf("after turning away at %.0fs: downlink %.1f Kbps (%s)\n", tTurn,
               watcher.capture

@@ -65,6 +65,9 @@ void RelayInstance::beginDrain() {
 void RelayInstance::stop() {
   state_ = InstanceState::Stopped;
   if (loadSampler_) loadSampler_->stop();
+  // With the sampler stopped nothing would decay the last sample: a stopped
+  // shard forwards nothing, so it reads idle.
+  ewmaForwardRate_ = 0.0;
   // Pending fan-out batches captured the room shared_ptr; keeping room_
   // alive here lets in-flight deliveries complete after the shard stops.
 }

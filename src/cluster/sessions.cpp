@@ -29,7 +29,6 @@ SessionCluster::SessionCluster(Simulator& sim, DataSpec dataSpec,
 
 void SessionCluster::reserveSessions(std::size_t expected) {
   sessions_.reserve(expected);
-  byUser_.reserve(expected);
   mgr_.reserveUsers(expected);
 }
 
@@ -37,13 +36,7 @@ session::Session& SessionCluster::addSession(std::uint64_t userId,
                                              const Region& region) {
   sessions_.push_back(std::make_unique<session::Session>(hub_, cfg_.session,
                                                          userId, region));
-  byUser_.insert(userId, static_cast<std::uint32_t>(sessions_.size() - 1));
   return *sessions_.back();
-}
-
-session::Session* SessionCluster::sessionOf(std::uint64_t userId) {
-  const std::uint32_t* idx = byUser_.find(userId);
-  return idx != nullptr ? sessions_[*idx].get() : nullptr;
 }
 
 std::size_t SessionCluster::crashShard(std::uint32_t id) {

@@ -38,15 +38,14 @@ class SessionCluster {
  public:
   SessionCluster(Simulator& sim, DataSpec dataSpec, SessionClusterConfig cfg);
 
-  /// Pre-sizes the session table, the user index, the pin table, and the
-  /// shard rooms for `expected` sessions — the bulk-setup path large churn
-  /// runs use so construction does not dominate the measurement window.
+  /// Pre-sizes the session table, the pin table, and the shard rooms for
+  /// `expected` sessions — the bulk-setup path large churn runs use so
+  /// construction does not dominate the measurement window.
   void reserveSessions(std::size_t expected);
 
   /// Creates a session for `userId` (not yet connected; call connect()).
   /// Placement ignores `region`: every shard serves the same one.
   session::Session& addSession(std::uint64_t userId, const Region& region);
-  [[nodiscard]] session::Session* sessionOf(std::uint64_t userId);
 
   [[nodiscard]] Simulator& sim() { return sim_; }
   [[nodiscard]] InstanceManager& manager() { return mgr_; }
@@ -71,7 +70,6 @@ class SessionCluster {
   InstanceManager mgr_;
   session::SessionHub hub_;  // must outlive sessions_ (they deregister)
   std::vector<std::unique_ptr<session::Session>> sessions_;
-  FlatMap64<std::uint32_t> byUser_;  // userId -> index into sessions_
 };
 
 // ---- canonical churn workloads --------------------------------------------

@@ -1,7 +1,7 @@
 #include "core/autodriver.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 
@@ -9,54 +9,56 @@ namespace msim {
 
 // ------------------------------------------------------------- DriverScript
 
-DriverScript& DriverScript::add(Duration at, DriverStep::Kind kind, double x,
-                                double y, int a) {
-  steps_.push_back(DriverStep{at, kind, x, y, a});
-  std::stable_sort(steps_.begin(), steps_.end(),
-                   [](const DriverStep& l, const DriverStep& r) {
-                     return l.at < r.at;
-                   });
+DriverScript& DriverScript::add(const DriverStep& step) {
+  // After every step at the same or an earlier time: (time, listing) order.
+  const auto at = std::upper_bound(
+      steps_.begin(), steps_.end(), step.at,
+      [](Duration t, const DriverStep& s) { return t < s.at; });
+  steps_.insert(at, step);
   return *this;
 }
 
-DriverScript& DriverScript::launch(Duration at) {
-  return add(at, DriverStep::Kind::Launch);
+DriverScript& DriverScript::launch(Duration at, int user) {
+  return add(DriverStep{at, user, DriverStep::Kind::Launch});
 }
-DriverScript& DriverScript::join(Duration at) {
-  return add(at, DriverStep::Kind::JoinEvent);
+DriverScript& DriverScript::join(Duration at, int user) {
+  return add(DriverStep{at, user, DriverStep::Kind::JoinEvent});
 }
-DriverScript& DriverScript::leave(Duration at) {
-  return add(at, DriverStep::Kind::LeaveEvent);
+DriverScript& DriverScript::leave(Duration at, int user) {
+  return add(DriverStep{at, user, DriverStep::Kind::LeaveEvent});
 }
-DriverScript& DriverScript::walkTo(Duration at, double x, double y) {
-  return add(at, DriverStep::Kind::WalkTo, x, y);
+DriverScript& DriverScript::walkTo(Duration at, int user, double x, double y) {
+  return add(DriverStep{at, user, DriverStep::Kind::WalkTo, x, y});
 }
-DriverScript& DriverScript::teleportTo(Duration at, double x, double y) {
-  return add(at, DriverStep::Kind::TeleportTo, x, y);
+DriverScript& DriverScript::teleportTo(Duration at, int user, double x,
+                                       double y) {
+  return add(DriverStep{at, user, DriverStep::Kind::TeleportTo, x, y});
 }
-DriverScript& DriverScript::snapTurn(Duration at, int steps) {
-  return add(at, DriverStep::Kind::SnapTurn, 0, 0, steps);
+DriverScript& DriverScript::snapTurn(Duration at, int user, int steps) {
+  return add(DriverStep{at, user, DriverStep::Kind::SnapTurn, 0, 0, steps});
 }
-DriverScript& DriverScript::faceTowards(Duration at, double x, double y) {
-  return add(at, DriverStep::Kind::FaceTowards, x, y);
+DriverScript& DriverScript::faceTowards(Duration at, int user, double x,
+                                        double y) {
+  return add(DriverStep{at, user, DriverStep::Kind::FaceTowards, x, y});
 }
-DriverScript& DriverScript::clearFace(Duration at) {
-  return add(at, DriverStep::Kind::ClearFace);
+DriverScript& DriverScript::clearFace(Duration at, int user) {
+  return add(DriverStep{at, user, DriverStep::Kind::ClearFace});
 }
-DriverScript& DriverScript::act(Duration at) {
-  return add(at, DriverStep::Kind::Act);
+DriverScript& DriverScript::act(Duration at, int user) {
+  return add(DriverStep{at, user, DriverStep::Kind::Act});
 }
-DriverScript& DriverScript::enterGame(Duration at) {
-  return add(at, DriverStep::Kind::EnterGame);
+DriverScript& DriverScript::enterGame(Duration at, int user) {
+  return add(DriverStep{at, user, DriverStep::Kind::EnterGame});
 }
-DriverScript& DriverScript::exitGame(Duration at) {
-  return add(at, DriverStep::Kind::ExitGame);
+DriverScript& DriverScript::exitGame(Duration at, int user) {
+  return add(DriverStep{at, user, DriverStep::Kind::ExitGame});
 }
-DriverScript& DriverScript::mute(Duration at, bool muted) {
-  return add(at, muted ? DriverStep::Kind::Mute : DriverStep::Kind::Unmute);
+DriverScript& DriverScript::mute(Duration at, int user, bool muted) {
+  return add(DriverStep{
+      at, user, muted ? DriverStep::Kind::Mute : DriverStep::Kind::Unmute});
 }
-DriverScript& DriverScript::wander(Duration at, bool on) {
-  return add(at, DriverStep::Kind::Wander, 0, 0, on ? 1 : 0);
+DriverScript& DriverScript::wander(Duration at, int user, bool on) {
+  return add(DriverStep{at, user, DriverStep::Kind::Wander, 0, 0, on ? 1 : 0});
 }
 
 namespace {
@@ -81,6 +83,17 @@ constexpr VerbInfo kVerbs[] = {
     {"unmute", DriverStep::Kind::Unmute, 0},
     {"wander", DriverStep::Kind::Wander, 1},
 };
+
+bool usesCount(DriverStep::Kind kind) {
+  return kind == DriverStep::Kind::SnapTurn || kind == DriverStep::Kind::Wander;
+}
+
+/// The shortest text that reads back as the same double.
+std::string shortest(double v) {
+  char buf[32];
+  const auto end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+  return std::string(buf, end);
+}
 }  // namespace
 
 DriverScript DriverScript::parse(const std::string& text) {
@@ -90,6 +103,10 @@ DriverScript DriverScript::parse(const std::string& text) {
   int lineNo = 0;
   while (std::getline(in, line)) {
     ++lineNo;
+    const auto fail = [&](const std::string& what) {
+      return std::invalid_argument("AutoDriver script line " +
+                                   std::to_string(lineNo) + ": " + what);
+    };
     // Strip comments and whitespace-only lines.
     const auto hash = line.find('#');
     if (hash != std::string::npos) line.erase(hash);
@@ -100,118 +117,96 @@ DriverScript DriverScript::parse(const std::string& text) {
       if (ls.eof() || line.find_first_not_of(" \t\r") == std::string::npos) {
         continue;  // blank
       }
-      throw std::invalid_argument("AutoDriver script line " +
-                                  std::to_string(lineNo) + ": expected time");
+      throw fail("expected time");
     }
-    if (!(ls >> verb)) {
-      throw std::invalid_argument("AutoDriver script line " +
-                                  std::to_string(lineNo) + ": expected verb");
+    if (seconds < 0) throw fail("time must not be negative");
+    if (!(ls >> verb)) throw fail("expected verb");
+    int user = 0;
+    if (verb.front() == '@') {
+      const std::string digits = verb.substr(1);
+      if (digits.empty() || digits.size() > 6 ||
+          digits.find_first_not_of("0123456789") != std::string::npos) {
+        throw fail("user field '" + verb +
+                   "' is not @ and a non-negative integer");
+      }
+      user = std::stoi(digits);
+      if (!(ls >> verb)) throw fail("expected verb");
     }
     const VerbInfo* info = nullptr;
     for (const auto& v : kVerbs) {
       if (verb == v.verb) info = &v;
     }
-    if (info == nullptr) {
-      throw std::invalid_argument("AutoDriver script line " +
-                                  std::to_string(lineNo) + ": unknown verb '" +
-                                  verb + "'");
-    }
+    if (info == nullptr) throw fail("unknown verb '" + verb + "'");
     double args[2] = {0, 0};
     for (int i = 0; i < info->args; ++i) {
       if (!(ls >> args[i])) {
-        throw std::invalid_argument("AutoDriver script line " +
-                                    std::to_string(lineNo) + ": '" + verb +
-                                    "' needs " + std::to_string(info->args) +
-                                    " argument(s)");
+        throw fail("'" + verb + "' needs " + std::to_string(info->args) +
+                   " argument(s)");
       }
     }
-    DriverStep step;
-    step.at = Duration::seconds(seconds);
-    step.kind = info->kind;
-    if (info->kind == DriverStep::Kind::SnapTurn ||
-        info->kind == DriverStep::Kind::Wander) {
+    DriverStep step{Duration::seconds(seconds), user, info->kind};
+    if (usesCount(info->kind)) {
       step.a = static_cast<int>(args[0]);
     } else {
       step.x = args[0];
       step.y = args[1];
     }
-    script.steps_.push_back(step);
+    script.add(step);
   }
-  std::stable_sort(script.steps_.begin(), script.steps_.end(),
-                   [](const DriverStep& l, const DriverStep& r) {
-                     return l.at < r.at;
-                   });
   return script;
 }
 
 std::string DriverScript::toText() const {
   std::ostringstream out;
   for (const DriverStep& s : steps_) {
-    char buf[96];
-    const double t = s.at.toSeconds();
-    switch (s.kind) {
-      case DriverStep::Kind::Launch: std::snprintf(buf, sizeof buf, "%g launch", t); break;
-      case DriverStep::Kind::JoinEvent: std::snprintf(buf, sizeof buf, "%g join", t); break;
-      case DriverStep::Kind::LeaveEvent: std::snprintf(buf, sizeof buf, "%g leave", t); break;
-      case DriverStep::Kind::WalkTo:
-        std::snprintf(buf, sizeof buf, "%g walk %g %g", t, s.x, s.y);
-        break;
-      case DriverStep::Kind::TeleportTo:
-        std::snprintf(buf, sizeof buf, "%g teleport %g %g", t, s.x, s.y);
-        break;
-      case DriverStep::Kind::SnapTurn:
-        std::snprintf(buf, sizeof buf, "%g turn %d", t, s.a);
-        break;
-      case DriverStep::Kind::FaceTowards:
-        std::snprintf(buf, sizeof buf, "%g face %g %g", t, s.x, s.y);
-        break;
-      case DriverStep::Kind::ClearFace: std::snprintf(buf, sizeof buf, "%g clearface", t); break;
-      case DriverStep::Kind::Act: std::snprintf(buf, sizeof buf, "%g act", t); break;
-      case DriverStep::Kind::EnterGame: std::snprintf(buf, sizeof buf, "%g game", t); break;
-      case DriverStep::Kind::ExitGame: std::snprintf(buf, sizeof buf, "%g endgame", t); break;
-      case DriverStep::Kind::Mute: std::snprintf(buf, sizeof buf, "%g mute", t); break;
-      case DriverStep::Kind::Unmute: std::snprintf(buf, sizeof buf, "%g unmute", t); break;
-      case DriverStep::Kind::Wander:
-        std::snprintf(buf, sizeof buf, "%g wander %d", t, s.a);
-        break;
+    const VerbInfo* info = nullptr;
+    for (const auto& v : kVerbs) {
+      if (s.kind == v.kind) info = &v;
     }
-    out << buf << '\n';
+    out << shortest(s.at.toSeconds());
+    if (s.user != 0) out << " @" << s.user;
+    out << ' ' << info->verb;
+    if (usesCount(s.kind)) {
+      out << ' ' << s.a;
+    } else if (info->args == 2) {
+      out << ' ' << shortest(s.x) << ' ' << shortest(s.y);
+    }
+    out << '\n';
   }
   return out.str();
 }
 
-DriverScript DriverScript::chatWorkload(Duration joinAt, double peerX,
-                                        double peerY) {
-  DriverScript s;
-  s.launch(Duration::zero());
-  s.join(joinAt);
-  s.wander(joinAt, false);
-  s.faceTowards(joinAt + Duration::millis(100), peerX, peerY);
-  return s;
-}
-
-DriverScript DriverScript::fig6Joiner(Duration joinAt) {
-  DriverScript s;
-  s.launch(Duration::zero());
-  s.join(joinAt);
-  s.faceTowards(joinAt + Duration::millis(100), 0.0, 0.0);
-  return s;
-}
-
 // --------------------------------------------------------------- AutoDriver
 
-TimePoint AutoDriver::play(const DriverScript& script, TimePoint startAt) {
-  TimePoint last = startAt;
+TimePoint AutoDriver::play(const DriverScript& script) {
+  const std::size_t users = bed_.users().size();
   for (const DriverStep& step : script.steps()) {
-    const TimePoint at = startAt + step.at;
+    if (step.user < 0 || static_cast<std::size_t>(step.user) >= users) {
+      throw std::invalid_argument(
+          "AutoDriver: a step at " + shortest(step.at.toSeconds()) +
+          " s drives user " + std::to_string(step.user) +
+          ", but the testbed has " + std::to_string(users) + " users");
+    }
+  }
+  if (actions_.size() < users) actions_.resize(users);
+  TimePoint last = TimePoint::epoch();
+  for (const DriverStep& step : script.steps()) {
+    const TimePoint at = TimePoint::epoch() + step.at;
     last = std::max(last, at);
     bed_.sim().schedule(at, [this, step] { apply(step); });
   }
   return last;
 }
 
+const std::vector<std::uint64_t>& AutoDriver::actionsPerformed(int user) const {
+  static const std::vector<std::uint64_t> kNone;
+  return user >= 0 && static_cast<std::size_t>(user) < actions_.size()
+             ? actions_[static_cast<std::size_t>(user)]
+             : kNone;
+}
+
 void AutoDriver::apply(const DriverStep& step) {
-  PlatformClient& client = *user_.client;
+  PlatformClient& client = *bed_.user(static_cast<std::size_t>(step.user)).client;
   switch (step.kind) {
     case DriverStep::Kind::Launch: client.launch(); return;
     case DriverStep::Kind::JoinEvent: client.joinEvent(); return;
@@ -225,7 +220,7 @@ void AutoDriver::apply(const DriverStep& step) {
     case DriverStep::Kind::ClearFace: client.clearFaceTarget(); return;
     case DriverStep::Kind::Act: {
       const std::uint64_t id = bed_.nextActionId();
-      actions_.push_back(id);
+      actions_[static_cast<std::size_t>(step.user)].push_back(id);
       client.performVisibleAction(id);
       return;
     }

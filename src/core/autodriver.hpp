@@ -6,9 +6,9 @@
 // "enables the test of VR applications by automatically playing back
 // pre-defined inputs") to run large-scale crowd-sourced experiments. This is
 // that tool for the simulator: a declarative script of timed inputs — launch,
-// join, walk, snap-turn, act, game on/off, mute, leave — that drives a
-// PlatformClient deterministically. Experiments, tests and examples can share
-// scripts instead of hand-scheduling lambdas.
+// join, walk, snap-turn, act, game on/off, mute, leave — each naming the
+// Testbed user it drives. It is the one way experiments, benches, examples
+// and the CLI send inputs to a PlatformClient.
 
 #include <string>
 #include <vector>
@@ -37,73 +37,71 @@ struct DriverStep {
   };
 
   Duration at;  // relative to playback start
+  int user{0};  // Testbed::user(i) this step drives
   Kind kind{Kind::Launch};
   double x{0};
   double y{0};
   int a{0};
 };
 
-/// A reusable input script.
+/// A reusable input script. Steps stay in (time, listing) order: a step
+/// lands after every step listed before it at the same or an earlier time.
 class DriverScript {
  public:
-  DriverScript& launch(Duration at);
-  DriverScript& join(Duration at);
-  DriverScript& leave(Duration at);
-  DriverScript& walkTo(Duration at, double x, double y);
-  DriverScript& teleportTo(Duration at, double x, double y);
-  DriverScript& snapTurn(Duration at, int steps);
-  DriverScript& faceTowards(Duration at, double x, double y);
-  DriverScript& clearFace(Duration at);
-  DriverScript& act(Duration at);
-  DriverScript& enterGame(Duration at);
-  DriverScript& exitGame(Duration at);
-  DriverScript& mute(Duration at, bool muted);
-  DriverScript& wander(Duration at, bool on);
+  DriverScript& launch(Duration at, int user);
+  DriverScript& join(Duration at, int user);
+  DriverScript& leave(Duration at, int user);
+  DriverScript& walkTo(Duration at, int user, double x, double y);
+  DriverScript& teleportTo(Duration at, int user, double x, double y);
+  DriverScript& snapTurn(Duration at, int user, int steps);
+  DriverScript& faceTowards(Duration at, int user, double x, double y);
+  DriverScript& clearFace(Duration at, int user);
+  DriverScript& act(Duration at, int user);
+  DriverScript& enterGame(Duration at, int user);
+  DriverScript& exitGame(Duration at, int user);
+  DriverScript& mute(Duration at, int user, bool muted);
+  DriverScript& wander(Duration at, int user, bool on);
+  /// Any step, e.g. one copied from another script.
+  DriverScript& add(const DriverStep& step);
 
   /// Parses the line format emitted by toText(): one step per line,
-  ///   <seconds> <verb> [args...]
-  /// e.g. "0 launch", "5 join", "12.5 walk 3 -2", "250 turn 8", "30 act".
-  /// Unknown verbs or malformed lines throw std::invalid_argument.
+  ///   <seconds> [@<user>] <verb> [args...]
+  /// e.g. "0 launch", "5 @1 join", "12.5 walk 3 -2", "250 turn 8". A line
+  /// without a user field drives user 0. Unknown verbs, malformed lines,
+  /// negative times and user fields that are not a non-negative integer
+  /// throw std::invalid_argument.
   [[nodiscard]] static DriverScript parse(const std::string& text);
   [[nodiscard]] std::string toText() const;
 
   [[nodiscard]] const std::vector<DriverStep>& steps() const { return steps_; }
   [[nodiscard]] bool empty() const { return steps_.empty(); }
 
-  /// The paper's standard workloads, scripted:
-  /// two users chatting (§5.1) …
-  [[nodiscard]] static DriverScript chatWorkload(Duration joinAt, double peerX,
-                                                 double peerY);
-  /// … and the Fig. 6 joiner (enter at `joinAt`, face the centre).
-  [[nodiscard]] static DriverScript fig6Joiner(Duration joinAt);
-
  private:
-  DriverScript& add(Duration at, DriverStep::Kind kind, double x = 0,
-                    double y = 0, int a = 0);
   std::vector<DriverStep> steps_;
 };
 
-/// Plays a script against one user; each Act step draws a fresh action id
-/// from the testbed so latency tooling can track it.
+/// Plays scripts against a testbed's users. Each step is its own event,
+/// scheduled when play() is called, so same-time steps run in listing
+/// order; each Act step draws a fresh action id from the testbed so latency
+/// tooling can track it.
 class AutoDriver {
  public:
-  AutoDriver(Testbed& bed, TestUser& user) : bed_{bed}, user_{user} {}
+  explicit AutoDriver(Testbed& bed) : bed_{bed} {}
 
-  /// Schedules every step; returns the time of the last one.
-  TimePoint play(const DriverScript& script,
-                 TimePoint startAt = TimePoint::epoch());
+  /// Schedules every step; returns the time of the last one. Throws
+  /// std::invalid_argument, scheduling nothing, if a step names a user the
+  /// testbed does not have.
+  TimePoint play(const DriverScript& script);
 
-  /// Action ids issued by Act steps, in order.
-  [[nodiscard]] const std::vector<std::uint64_t>& actionsPerformed() const {
-    return actions_;
-  }
+  /// Action ids issued by `user`'s Act steps, in order.
+  [[nodiscard]] const std::vector<std::uint64_t>& actionsPerformed(
+      int user) const;
 
  private:
   void apply(const DriverStep& step);
 
   Testbed& bed_;
-  TestUser& user_;
-  std::vector<std::uint64_t> actions_;
+  std::vector<std::vector<std::uint64_t>> actions_;  // by user index
 };
 
 }  // namespace msim

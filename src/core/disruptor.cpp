@@ -2,9 +2,9 @@
 
 namespace msim {
 
-TimePoint Disruptor::schedule(TimePoint startAt,
-                              const std::vector<DisruptionStage>& stages,
-                              Duration recovery) {
+TimePoint Disruptor::play(TimePoint startAt,
+                          const std::vector<DisruptionStage>& stages,
+                          Duration recovery) {
   // The netem outlives this Disruptor (it belongs to the AP device), so the
   // scheduled stage changes capture it directly.
   Netem* target = &netem();
@@ -30,18 +30,6 @@ DisruptionStage rateStage(double mbps) {
   s.label = std::to_string(mbps) + "Mbps";
   return s;
 }
-DisruptionStage delayStage(double ms) {
-  DisruptionStage s;
-  s.config.delay = Duration::millis(ms);
-  s.label = std::to_string(static_cast<int>(ms)) + "ms";
-  return s;
-}
-DisruptionStage lossStage(double pct) {
-  DisruptionStage s;
-  s.config.lossRate = pct / 100.0;
-  s.label = std::to_string(static_cast<int>(pct)) + "%";
-  return s;
-}
 }  // namespace
 
 std::vector<DisruptionStage> Disruptor::downlinkBandwidthStages() {
@@ -52,16 +40,6 @@ std::vector<DisruptionStage> Disruptor::downlinkBandwidthStages() {
 std::vector<DisruptionStage> Disruptor::uplinkBandwidthStages() {
   return {rateStage(1.5), rateStage(1.2), rateStage(1.0),
           rateStage(0.7), rateStage(0.5), rateStage(0.3)};
-}
-
-std::vector<DisruptionStage> Disruptor::latencyStages() {
-  return {delayStage(50), delayStage(100), delayStage(200),
-          delayStage(300), delayStage(400), delayStage(500)};
-}
-
-std::vector<DisruptionStage> Disruptor::lossStages() {
-  return {lossStage(1), lossStage(3), lossStage(5),
-          lossStage(7), lossStage(10), lossStage(20)};
 }
 
 std::vector<DisruptionStage> Disruptor::tcpOnlyStages() {

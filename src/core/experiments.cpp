@@ -25,6 +25,14 @@ void placeChatPair(TestUser& u1, TestUser& u2) {
 
 }  // namespace
 
+DriverScript launchThenJoinScript(int users, Duration launchAt,
+                                  Duration firstJoin, Duration joinEvery) {
+  DriverScript s;
+  for (int i = 0; i < users; ++i) s.launch(launchAt, i);
+  for (int i = 0; i < users; ++i) s.join(firstJoin + joinEvery * i, i);
+  return s;
+}
+
 void arrangeUsersForSweep(Testbed& bed) {
   auto& users = bed.users();
   if (users.empty()) return;
@@ -60,16 +68,8 @@ TwoUserThroughputRow runTwoUserThroughput(const PlatformSpec& spec, int seeds) {
     TestUser& u1 = bed.addUser(chatUser());
     TestUser& u2 = bed.addUser(chatUser());
     placeChatPair(u1, u2);
-
-    bed.sim().schedule(TimePoint::epoch(), [&] {
-      u1.client->launch();
-      u2.client->launch();
-    });
-    bed.sim().schedule(TimePoint::epoch() + Duration::seconds(5),
-                       [&] { u1.client->joinEvent(); });
-    // U1 alone: downlink baseline T (server misc only), §5.2 method.
-    bed.sim().schedule(TimePoint::epoch() + Duration::seconds(45),
-                       [&] { u2.client->joinEvent(); });
+    AutoDriver driver{bed};
+    driver.play(twoUserThroughputScript());
     bed.sim().runFor(Duration::seconds(120));
 
     const auto& cap = *u1.capture;
@@ -102,6 +102,12 @@ TwoUserThroughputRow runTwoUserThroughput(const PlatformSpec& spec, int seeds) {
   return row;
 }
 
+DriverScript twoUserThroughputScript() {
+  // 5-45 s is U1 alone: the downlink baseline T (server misc only), §5.2.
+  return launchThenJoinScript(2, Duration::zero(), Duration::seconds(5),
+                              Duration::seconds(40));
+}
+
 // ------------------------------------------------------------------ Fig. 2
 
 ChannelTimeline runChannelTimeline(const PlatformSpec& spec, std::uint64_t seed) {
@@ -110,15 +116,8 @@ ChannelTimeline runChannelTimeline(const PlatformSpec& spec, std::uint64_t seed)
   TestUser& u1 = bed.addUser(chatUser());
   TestUser& u2 = bed.addUser(chatUser());
   placeChatPair(u1, u2);
-
-  bed.sim().schedule(TimePoint::epoch() + Duration::seconds(2), [&] {
-    u1.client->launch();
-    u2.client->launch();
-  });
-  bed.sim().schedule(TimePoint::epoch() + Duration::seconds(90), [&] {
-    u1.client->joinEvent();
-    u2.client->joinEvent();
-  });
+  AutoDriver driver{bed};
+  driver.play(channelTimelineScript());
   bed.sim().runFor(Duration::seconds(180));
 
   ChannelTimeline out;
@@ -127,6 +126,10 @@ ChannelTimeline runChannelTimeline(const PlatformSpec& spec, std::uint64_t seed)
   out.dataUpKbps = u1.capture->series(Channel::DataUp).ratesKbps(180);
   out.dataDownKbps = u1.capture->series(Channel::DataDown).ratesKbps(180);
   return out;
+}
+
+DriverScript channelTimelineScript() {
+  return launchThenJoinScript(2, Duration::seconds(2), Duration::seconds(90));
 }
 
 // ------------------------------------------------------------------ Fig. 3
@@ -138,14 +141,8 @@ ForwardingCorrelation runForwardingCorrelation(const PlatformSpec& spec,
   TestUser& u1 = bed.addUser(chatUser());
   TestUser& u2 = bed.addUser(chatUser());
   placeChatPair(u1, u2);
-  bed.sim().schedule(TimePoint::epoch(), [&] {
-    u1.client->launch();
-    u2.client->launch();
-  });
-  bed.sim().schedule(TimePoint::epoch() + Duration::seconds(5), [&] {
-    u1.client->joinEvent();
-    u2.client->joinEvent();
-  });
+  AutoDriver driver{bed};
+  driver.play(forwardingCorrelationScript());
   bed.sim().runFor(Duration::seconds(130));
 
   const auto u1Up = u1.capture->series(Channel::DataUp).ratesKbps(130);
@@ -163,6 +160,10 @@ ForwardingCorrelation runForwardingCorrelation(const PlatformSpec& spec,
   out.meanUpKbps = upStats.mean();
   out.meanDownKbps = downStats.mean();
   return out;
+}
+
+DriverScript forwardingCorrelationScript() {
+  return launchThenJoinScript(2, Duration::zero(), Duration::seconds(5));
 }
 
 // ------------------------------------------------------------------ Fig. 6
@@ -183,29 +184,24 @@ JoinTimeline runJoinTimeline(const PlatformSpec& spec, Fig6Variant variant,
     users[i]->client->setFaceTarget(0.0, 0.0);
   }
 
-  bed.sim().schedule(TimePoint::epoch(), [&] {
-    for (auto* u : users) u->client->launch();
-  });
-  bed.sim().schedule(TimePoint::epoch() + Duration::seconds(1),
-                     [&] { users[0]->client->joinEvent(); });
-  for (int i = 1; i < 5; ++i) {
-    bed.sim().schedule(TimePoint::epoch() + Duration::seconds(50 * i),
-                       [&, i] { users[i]->client->joinEvent(); });
-  }
-  // At 250 s U1 turns: away from the crowd (Exp 1) or toward it (Exp 2).
-  bed.sim().schedule(TimePoint::epoch() + Duration::seconds(250), [&, variant] {
-    if (variant == Fig6Variant::FacingJoiners) {
-      users[0]->client->motion().turnSteps(8);  // 180°
-    } else {
-      users[0]->client->motion().faceTowards(3.0, 0.0);
-    }
-  });
+  AutoDriver driver{bed};
+  driver.play(joinTimelineScript());
   bed.sim().runFor(Duration::seconds(300));
 
   JoinTimeline out;
   out.upKbps = users[0]->capture->series(Channel::DataUp).ratesKbps(300);
   out.downKbps = users[0]->capture->series(Channel::DataDown).ratesKbps(300);
   return out;
+}
+
+DriverScript joinTimelineScript() {
+  DriverScript s;
+  for (int i = 0; i < 5; ++i) s.launch(Duration::zero(), i);
+  s.join(Duration::seconds(1), 0);
+  for (int i = 1; i < 5; ++i) s.join(Duration::seconds(50 * i), i);
+  // At 250 s U1 turns 180°: away from the crowd (Exp 1) or toward it (Exp 2).
+  s.snapTurn(Duration::seconds(250), 0, 8);
+  return s;
 }
 
 // ----------------------------------------------------------------- Figs. 7-9
@@ -243,15 +239,8 @@ std::vector<SweepPoint> runUsersSweepCells(const std::vector<SweepCell>& cells) 
     bed.deploy(jobs[job].cell->spec);
     for (int i = 0; i < users; ++i) bed.addUser(chatUser());
     arrangeUsersForSweep(bed);
-
-    bed.sim().schedule(TimePoint::epoch(), [&] {
-      for (auto& u : bed.users()) u->client->launch();
-    });
-    for (int i = 0; i < users; ++i) {
-      bed.sim().schedule(TimePoint::epoch() + Duration::seconds(2) +
-                             Duration::millis(500.0 * i),
-                         [&, i] { bed.user(i).client->joinEvent(); });
-    }
+    AutoDriver driver{bed};
+    driver.play(usersSweepScript(users));
     const double settleSec = 2.0 + 0.5 * users + 8.0;
     const TimePoint from = TimePoint::epoch() + Duration::seconds(settleSec);
     const TimePoint to = from + measureFor;
@@ -312,6 +301,11 @@ SweepPoint runUsersSweepPoint(const PlatformSpec& spec, int users, int seeds,
   return runUsersSweepCells({SweepCell{spec, users, seeds, measureFor}}).front();
 }
 
+DriverScript usersSweepScript(int users) {
+  return launchThenJoinScript(users, Duration::zero(), Duration::seconds(2),
+                              Duration::millis(500));
+}
+
 // ------------------------------------------------------- Table 4 / Fig. 11
 
 LatencyRow runLatencyExperiment(const PlatformSpec& spec, int users, int probes,
@@ -335,13 +329,8 @@ LatencyRow runLatencyExperiment(const PlatformSpec& spec, int users, int probes,
       bed.user(i).client->setFaceTarget(0.5, 0.0);
     }
 
-    bed.sim().schedule(TimePoint::epoch(), [&] {
-      for (auto& u : bed.users()) u->client->launch();
-    });
-    for (int i = 0; i < users; ++i) {
-      bed.sim().schedule(TimePoint::epoch() + Duration::seconds(2 + i),
-                         [&, i] { bed.user(i).client->joinEvent(); });
-    }
+    AutoDriver driver{bed};
+    driver.play(latencyExperimentScript(users));
 
     LatencyProbe probe{bed, u1, u2};
     const auto firstProbe = TimePoint::epoch() + Duration::seconds(users + 12);
@@ -373,7 +362,16 @@ LatencyRow runLatencyExperiment(const PlatformSpec& spec, int users, int probes,
   return row;
 }
 
+DriverScript latencyExperimentScript(int users) {
+  return launchThenJoinScript(users, Duration::zero(), Duration::seconds(2),
+                              Duration::seconds(1));
+}
+
 // --------------------------------------------------------------- §6.1 width
+
+namespace {
+constexpr double kViewportStepSeconds = 20.0;
+}  // namespace
 
 ViewportDetection runViewportDetection(const PlatformSpec& spec,
                                        std::uint64_t seed) {
@@ -385,28 +383,18 @@ ViewportDetection runViewportDetection(const PlatformSpec& spec,
   u1.client->motion().setPose(Pose{0.0, 0.0, 180.0});
   u2.client->motion().setPose(Pose{3.0, 0.0, 180.0});
   u2.client->setFaceTarget(0.0, 0.0);
-
-  bed.sim().schedule(TimePoint::epoch(), [&] {
-    u1.client->launch();
-    u2.client->launch();
-    u1.client->joinEvent();
-    u2.client->joinEvent();
-  });
-
-  constexpr double kStepSeconds = 20.0;
-  for (int step = 0; step < 16; ++step) {
-    bed.sim().schedule(
-        TimePoint::epoch() + Duration::seconds(20.0 + kStepSeconds * step),
-        [&] { u1.client->motion().turnSteps(1); });
-  }
-  bed.sim().runFor(Duration::seconds(20.0 + kStepSeconds * 16));
+  AutoDriver driver{bed};
+  driver.play(viewportDetectionScript());
+  bed.sim().runFor(Duration::seconds(20.0 + kViewportStepSeconds * 16));
 
   ViewportDetection out;
   const auto& down = u1.capture->series(Channel::DataDown);
   double maxRate = 0.0;
   for (int step = 0; step < 16; ++step) {
-    const auto from = static_cast<std::size_t>(20.0 + kStepSeconds * step + 4);
-    const auto to = static_cast<std::size_t>(20.0 + kStepSeconds * (step + 1) - 2);
+    const auto from =
+        static_cast<std::size_t>(20.0 + kViewportStepSeconds * step + 4);
+    const auto to =
+        static_cast<std::size_t>(20.0 + kViewportStepSeconds * (step + 1) - 2);
     const double kbps = down.meanRate(from, to).toKbps();
     out.downKbpsPerStep.push_back(kbps);
     maxRate = std::max(maxRate, kbps);
@@ -427,6 +415,14 @@ ViewportDetection runViewportDetection(const PlatformSpec& spec,
   return out;
 }
 
+DriverScript viewportDetectionScript() {
+  DriverScript s = launchThenJoinScript(2, Duration::zero(), Duration::zero());
+  for (int step = 0; step < 16; ++step) {
+    s.snapTurn(Duration::seconds(20.0 + kViewportStepSeconds * step), 0, 1);
+  }
+  return s;
+}
+
 // ------------------------------------------------------------- Fig. 12 / 13
 
 DisruptionTimeline runWorldsDisruption(DisruptionKind kind, std::uint64_t seed) {
@@ -436,42 +432,28 @@ DisruptionTimeline runWorldsDisruption(DisruptionKind kind, std::uint64_t seed) 
   TestUser& u1 = bed.addUser(chatUser());
   TestUser& u2 = bed.addUser(chatUser());
   placeChatPair(u1, u2);
-
-  bed.sim().schedule(TimePoint::epoch(), [&] {
-    u1.client->launch();
-    u2.client->launch();
-    u1.client->joinEvent();
-    u2.client->joinEvent();
-  });
-  bed.sim().schedule(TimePoint::epoch() + Duration::seconds(5), [&] {
-    u1.client->enterGameMode();
-    u2.client->enterGameMode();
-  });
+  AutoDriver driver{bed};
+  driver.play(worldsDisruptionScript());
 
   DisruptionTimeline out;
+  const TimePoint t0 = TimePoint::epoch();
   double totalSec = 300.0;
   switch (kind) {
-    case DisruptionKind::DownlinkBandwidth: {
-      Disruptor d{bed, u1, Disruptor::Direction::Downlink};
-      d.schedule(TimePoint::epoch() + Duration::seconds(40),
-                 Disruptor::downlinkBandwidthStages());
+    case DisruptionKind::DownlinkBandwidth:
+      Disruptor{bed, u1, Disruptor::Direction::Downlink}.play(
+          t0 + Duration::seconds(40), Disruptor::downlinkBandwidthStages());
       totalSec = 340.0;
       break;
-    }
-    case DisruptionKind::UplinkBandwidth: {
-      Disruptor d{bed, u1, Disruptor::Direction::Uplink};
-      d.schedule(TimePoint::epoch() + Duration::seconds(40),
-                 Disruptor::uplinkBandwidthStages());
+    case DisruptionKind::UplinkBandwidth:
+      Disruptor{bed, u1, Disruptor::Direction::Uplink}.play(
+          t0 + Duration::seconds(40), Disruptor::uplinkBandwidthStages());
       totalSec = 340.0;
       break;
-    }
-    case DisruptionKind::TcpUplinkOnly: {
-      Disruptor d{bed, u1, Disruptor::Direction::Uplink};
-      d.schedule(TimePoint::epoch() + Duration::seconds(60),
-                 Disruptor::tcpOnlyStages());
+    case DisruptionKind::TcpUplinkOnly:
+      Disruptor{bed, u1, Disruptor::Direction::Uplink}.play(
+          t0 + Duration::seconds(60), Disruptor::tcpOnlyStages());
       totalSec = 360.0;
       break;
-    }
   }
 
   // Poll the frozen flag second by second.
@@ -498,6 +480,12 @@ DisruptionTimeline runWorldsDisruption(DisruptionKind kind, std::uint64_t seed) 
   return out;
 }
 
+DriverScript worldsDisruptionScript() {
+  DriverScript s = launchThenJoinScript(2, Duration::zero(), Duration::zero());
+  s.enterGame(Duration::seconds(5), 0).enterGame(Duration::seconds(5), 1);
+  return s;
+}
+
 // -------------------------------------------------------------------- §8.2
 
 PerceptionRow runLatencyLossPerception(const PlatformSpec& spec,
@@ -508,27 +496,18 @@ PerceptionRow runLatencyLossPerception(const PlatformSpec& spec,
   TestUser& u1 = bed.addUser(chatUser());
   TestUser& u2 = bed.addUser(chatUser());
   placeChatPair(u1, u2);
-
-  bed.sim().schedule(TimePoint::epoch(), [&] {
-    u1.client->launch();
-    u2.client->launch();
-    u1.client->joinEvent();
-    u2.client->joinEvent();
-  });
   const bool game = spec.game.available && !spec.game.gameUplink.isZero();
-  if (game) {
-    bed.sim().schedule(TimePoint::epoch() + Duration::seconds(4), [&] {
-      u1.client->enterGameMode();
-      u2.client->enterGameMode();
-    });
+  AutoDriver driver{bed};
+  driver.play(latencyLossPerceptionScript(game));
+  // One stage from 8 s on, both ways; its reset falls after the run ends.
+  DisruptionStage impaired;
+  impaired.config.delay = Duration::millis(addedLatencyMs);
+  impaired.config.lossRate = lossPct / 100.0;
+  for (const auto dir :
+       {Disruptor::Direction::Uplink, Disruptor::Direction::Downlink}) {
+    Disruptor{bed, u1, dir}.play(TimePoint::epoch() + Duration::seconds(8),
+                                 {impaired});
   }
-  bed.sim().schedule(TimePoint::epoch() + Duration::seconds(8), [&] {
-    NetemConfig cfg;
-    cfg.delay = Duration::millis(addedLatencyMs);
-    cfg.lossRate = lossPct / 100.0;
-    u1.uplinkNetem().configure(cfg);
-    u1.downlinkNetem().configure(cfg);
-  });
 
   LatencyProbe probe{bed, u1, u2};
   probe.scheduleProbes(TimePoint::epoch() + Duration::seconds(12), 10,
@@ -551,6 +530,12 @@ PerceptionRow runLatencyLossPerception(const PlatformSpec& spec,
   return row;
 }
 
+DriverScript latencyLossPerceptionScript(bool game) {
+  DriverScript s = launchThenJoinScript(2, Duration::zero(), Duration::zero());
+  if (game) s.enterGame(Duration::seconds(4), 0).enterGame(Duration::seconds(4), 1);
+  return s;
+}
+
 // -------------------------------------------------------------------- §5.2
 
 DownloadTrace runDownloadTrace(const PlatformSpec& spec, std::uint64_t seed) {
@@ -559,14 +544,8 @@ DownloadTrace runDownloadTrace(const PlatformSpec& spec, std::uint64_t seed) {
   TestUser& u1 = bed.addUser(chatUser());
   TestUser& u2 = bed.addUser(chatUser());
   placeChatPair(u1, u2);
-  bed.sim().schedule(TimePoint::epoch(), [&] {
-    u1.client->launch();
-    u2.client->launch();
-  });
-  bed.sim().schedule(TimePoint::epoch() + Duration::seconds(30), [&] {
-    u1.client->joinEvent();
-    u2.client->joinEvent();
-  });
+  AutoDriver driver{bed};
+  driver.play(downloadTraceScript());
   bed.sim().runFor(Duration::seconds(60));
 
   const auto& down = u1.capture->series(Channel::ControlDown);
@@ -581,6 +560,10 @@ DownloadTrace runDownloadTrace(const PlatformSpec& spec, std::uint64_t seed) {
   trace.appStoreSizeMB = spec.content.appStoreSize.toMegabytes();
   trace.cachesBackground = spec.content.cachesBackground;
   return trace;
+}
+
+DriverScript downloadTraceScript() {
+  return launchThenJoinScript(2, Duration::zero(), Duration::seconds(30));
 }
 
 }  // namespace msim

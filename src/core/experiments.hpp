@@ -1,16 +1,26 @@
 #pragma once
 
 // Canned experiment scenarios shared by the bench harness — each maps to a
-// table or figure of the paper (see DESIGN.md §3 for the full index).
+// table or figure of the paper (see DESIGN.md §3 for the full index). Every
+// run plays its users' inputs from a DriverScript (core/autodriver.hpp); the
+// `*Script` functions below return those scripts, so a run's inputs can be
+// printed, parsed back and replayed.
 
 #include <string>
 #include <vector>
 
+#include "core/autodriver.hpp"
 #include "core/disruptor.hpp"
 #include "core/latency.hpp"
 #include "core/testbed.hpp"
 
 namespace msim {
+
+/// The shape most runs play: users 0..n-1 launch at `launchAt`, in user
+/// order, then user i joins at `firstJoin + i * joinEvery`.
+[[nodiscard]] DriverScript launchThenJoinScript(
+    int users, Duration launchAt, Duration firstJoin,
+    Duration joinEvery = Duration::zero());
 
 // ------------------------------------------------------------------ Table 3
 
@@ -26,6 +36,8 @@ struct TwoUserThroughputRow {
 /// join-mutely differencing method (§5.2). Averaged over `seeds` runs.
 [[nodiscard]] TwoUserThroughputRow runTwoUserThroughput(const PlatformSpec& spec,
                                                         int seeds = 20);
+/// Both launch at 0 s; U1 joins at 5 s, U2 at 45 s.
+[[nodiscard]] DriverScript twoUserThroughputScript();
 
 // ------------------------------------------------------------------- Fig. 2
 
@@ -39,6 +51,7 @@ struct ChannelTimeline {
 /// 180 s: welcome page from 0 s, both users join a social event at 90 s.
 [[nodiscard]] ChannelTimeline runChannelTimeline(const PlatformSpec& spec,
                                                  std::uint64_t seed = 1);
+[[nodiscard]] DriverScript channelTimelineScript();
 
 // ------------------------------------------------------------------- Fig. 3
 
@@ -52,6 +65,8 @@ struct ForwardingCorrelation {
 
 [[nodiscard]] ForwardingCorrelation runForwardingCorrelation(
     const PlatformSpec& spec, std::uint64_t seed = 1);
+/// Both launch at 0 s and join at 5 s.
+[[nodiscard]] DriverScript forwardingCorrelationScript();
 
 // ------------------------------------------------------------------- Fig. 6
 
@@ -65,11 +80,13 @@ struct JoinTimeline {
   std::vector<double> downKbps;  // U1's downlink per second
 };
 
-/// 300 s: U2..U5 join at 50/100/150/200 s; U1 turns 180° (or toward the
-/// center, in the corner variant) at 250 s.
+/// 300 s: U2..U5 join at 50/100/150/200 s; U1 turns 180° at 250 s — away
+/// from the crowd, or toward it in the corner variant.
 [[nodiscard]] JoinTimeline runJoinTimeline(const PlatformSpec& spec,
                                            Fig6Variant variant,
                                            std::uint64_t seed = 1);
+/// Both variants play the same script; only U1's starting yaw differs.
+[[nodiscard]] DriverScript joinTimelineScript();
 
 // --------------------------------------------------------------- Figs. 7-9
 
@@ -103,6 +120,8 @@ struct SweepCell {
 [[nodiscard]] SweepPoint runUsersSweepPoint(const PlatformSpec& spec, int users,
                                             int seeds = 20,
                                             Duration measureFor = Duration::seconds(60));
+/// All launch at 0 s; user i joins at 2 s + 0.5 s * i.
+[[nodiscard]] DriverScript usersSweepScript(int users);
 
 // --------------------------------------------------------- Table 4, Fig. 11
 
@@ -119,6 +138,8 @@ struct LatencyRow {
 [[nodiscard]] LatencyRow runLatencyExperiment(const PlatformSpec& spec,
                                               int users = 2, int probes = 20,
                                               int seeds = 5);
+/// All launch at 0 s; user i joins at 2 s + 1 s * i.
+[[nodiscard]] DriverScript latencyExperimentScript(int users);
 
 // ------------------------------------------------------------ §6.1 viewport
 
@@ -133,6 +154,9 @@ struct ViewportDetection {
 /// forwarding on/off pattern from U1's downlink (§6.1).
 [[nodiscard]] ViewportDetection runViewportDetection(const PlatformSpec& spec,
                                                      std::uint64_t seed = 1);
+/// Both launch, then both join, at 0 s; U1 snap-turns once every 20 s from
+/// 20 s on, 16 times.
+[[nodiscard]] DriverScript viewportDetectionScript();
 
 // ---------------------------------------------------------------- Fig. 12/13
 
@@ -157,6 +181,8 @@ enum class DisruptionKind : std::uint8_t {
 /// Worlds shooting-game disruption runs (§8.1).
 [[nodiscard]] DisruptionTimeline runWorldsDisruption(DisruptionKind kind,
                                                      std::uint64_t seed = 1);
+/// Both launch and join at 0 s and enter the game at 5 s.
+[[nodiscard]] DriverScript worldsDisruptionScript();
 
 // -------------------------------------------------------------------- §8.2
 
@@ -174,6 +200,8 @@ struct PerceptionRow {
                                                      double addedLatencyMs,
                                                      double lossPct,
                                                      std::uint64_t seed = 1);
+/// Both launch and join at 0 s; with `game`, both enter the game at 4 s.
+[[nodiscard]] DriverScript latencyLossPerceptionScript(bool game);
 
 // ----------------------------------------------------- §5.2 content behaviour
 
@@ -187,6 +215,8 @@ struct DownloadTrace {
 
 [[nodiscard]] DownloadTrace runDownloadTrace(const PlatformSpec& spec,
                                              std::uint64_t seed = 1);
+/// Both launch at 0 s and join at 30 s.
+[[nodiscard]] DriverScript downloadTraceScript();
 
 /// Places `users` in a chat circle: U1 at the center-west facing east, the
 /// rest spread inside U1's field of view. Used by sweeps and latency runs.

@@ -24,10 +24,6 @@ void Dns::addNearest(const std::string& name,
   };
 }
 
-void Dns::addPolicy(const std::string& name, Resolver resolver) {
-  resolvers_[name] = std::move(resolver);
-}
-
 Ipv4Address Dns::resolve(const std::string& name, const Region& clientRegion) const {
   const auto it = resolvers_.find(name);
   return it != resolvers_.end() ? it->second(clientRegion) : Ipv4Address{};

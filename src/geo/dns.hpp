@@ -32,9 +32,6 @@ class Dns {
   void addNearest(const std::string& name,
                   std::vector<std::pair<Region, Ipv4Address>> replicas);
 
-  /// Fully custom policy.
-  void addPolicy(const std::string& name, Resolver resolver);
-
   /// Resolves for a client in `clientRegion`; unspecified address if unknown.
   [[nodiscard]] Ipv4Address resolve(const std::string& name,
                                     const Region& clientRegion) const;

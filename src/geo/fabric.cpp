@@ -50,10 +50,6 @@ InternetFabric::CoreInfo& InternetFabric::coreInfo(const Region& region) {
   return self;
 }
 
-Node& InternetFabric::coreRouter(const Region& region) {
-  return *coreInfo(region).router;
-}
-
 void InternetFabric::routeFromCore(CoreInfo& from, Ipv4Address addr,
                                    const Region& toRegion,
                                    NetDevice* accessDevice) {

@@ -31,10 +31,6 @@ class InternetFabric {
   InternetFabric(const InternetFabric&) = delete;
   InternetFabric& operator=(const InternetFabric&) = delete;
 
-  /// The region's core router (created on first use, meshed with all
-  /// existing cores).
-  Node& coreRouter(const Region& region);
-
   /// Creates a host node in `region` with `addr` and wires routing both
   /// ways (host default-routes to its core; every core learns the host).
   Node& attachHost(const std::string& name, const Region& region,

@@ -344,11 +344,4 @@ Node& Network::addNode(std::string name) {
   return *nodes_.back();
 }
 
-Node* Network::findNode(const std::string& name) {
-  for (const auto& n : nodes_) {
-    if (n->name() == name) return n.get();
-  }
-  return nullptr;
-}
-
 }  // namespace msim

@@ -262,7 +262,6 @@ class Network {
   explicit Network(Simulator& sim) : sim_{sim} {}
 
   Node& addNode(std::string name);
-  [[nodiscard]] Node* findNode(const std::string& name);
   [[nodiscard]] const std::vector<std::unique_ptr<Node>>& nodes() const {
     return nodes_;
   }

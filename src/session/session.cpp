@@ -8,17 +8,6 @@
 
 namespace msim::session {
 
-const char* toString(ConnectionState s) {
-  switch (s) {
-    case ConnectionState::Disconnected: return "disconnected";
-    case ConnectionState::Connecting: return "connecting";
-    case ConnectionState::Connected: return "connected";
-    case ConnectionState::Reconnecting: return "reconnecting";
-    case ConnectionState::Closed: return "closed";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Rejects configs the state machine cannot run: a zero ping cadence

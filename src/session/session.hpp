@@ -37,8 +37,6 @@ enum class ConnectionState : std::uint8_t {
   Closed,        // terminal; the session will never connect again
 };
 
-[[nodiscard]] const char* toString(ConnectionState s);
-
 /// Why the hub refused a connect attempt.
 enum class RejectReason : std::uint8_t { TokenExpired, TokenForged, NoCapacity };
 

@@ -30,8 +30,6 @@ void RtpSession::startRtcp(Duration interval) {
                                              [this] { sendSenderReport(); });
 }
 
-void RtpSession::stopRtcp() { rtcpTask_.reset(); }
-
 void RtpSession::sendSenderReport() {
   if (remote_.addr.isUnspecified()) return;
   const std::uint64_t srId = nextSrId_++;

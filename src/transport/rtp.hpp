@@ -34,7 +34,6 @@ class RtpSession {
 
   /// Starts periodic RTCP SR emission (default once per second).
   void startRtcp(Duration interval = Duration::seconds(1));
-  void stopRtcp();
 
   /// Most recent RTCP-derived RTT, if any report round-trip completed.
   [[nodiscard]] std::optional<Duration> lastRtt() const { return lastRtt_; }

@@ -5,19 +5,6 @@
 
 namespace msim {
 
-const char* toString(TcpState s) {
-  switch (s) {
-    case TcpState::Closed: return "CLOSED";
-    case TcpState::SynSent: return "SYN_SENT";
-    case TcpState::SynReceived: return "SYN_RCVD";
-    case TcpState::Established: return "ESTABLISHED";
-    case TcpState::FinWait: return "FIN_WAIT";
-    case TcpState::CloseWait: return "CLOSE_WAIT";
-    case TcpState::Closing: return "CLOSING";
-  }
-  return "?";
-}
-
 // ----------------------------------------------------------------- lifecycle
 
 std::shared_ptr<TcpSocket> TcpSocket::create(Node& node, TcpConfig cfg) {

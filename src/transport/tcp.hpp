@@ -40,8 +40,6 @@ enum class TcpState : std::uint8_t {
   Closing,
 };
 
-[[nodiscard]] const char* toString(TcpState s);
-
 /// Tunables; defaults approximate a Linux-era stack.
 struct TcpConfig {
   std::uint32_t mss = wire::kTcpMss;

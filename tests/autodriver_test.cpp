@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/autodriver.hpp"
+#include "core/experiments.hpp"
 
 namespace msim {
 namespace {
@@ -13,13 +14,17 @@ namespace {
 
 TEST(DriverScriptTest, BuilderKeepsTimeOrder) {
   DriverScript s;
-  s.join(Duration::seconds(5));
-  s.launch(Duration::zero());
-  s.act(Duration::seconds(10));
-  ASSERT_EQ(s.steps().size(), 3u);
+  s.join(Duration::seconds(5), 0);
+  s.launch(Duration::zero(), 1);
+  s.act(Duration::seconds(10), 0);
+  s.launch(Duration::zero(), 0);  // same time as user 1's: listed after it
+  ASSERT_EQ(s.steps().size(), 4u);
   EXPECT_EQ(s.steps()[0].kind, DriverStep::Kind::Launch);
-  EXPECT_EQ(s.steps()[1].kind, DriverStep::Kind::JoinEvent);
-  EXPECT_EQ(s.steps()[2].kind, DriverStep::Kind::Act);
+  EXPECT_EQ(s.steps()[0].user, 1);
+  EXPECT_EQ(s.steps()[1].kind, DriverStep::Kind::Launch);
+  EXPECT_EQ(s.steps()[1].user, 0);
+  EXPECT_EQ(s.steps()[2].kind, DriverStep::Kind::JoinEvent);
+  EXPECT_EQ(s.steps()[3].kind, DriverStep::Kind::Act);
 }
 
 TEST(DriverScriptTest, ParseRoundTrip) {
@@ -46,6 +51,56 @@ TEST(DriverScriptTest, ParseRoundTrip) {
   EXPECT_EQ(again.toText(), parsed.toText());
 }
 
+TEST(DriverScriptTest, ParseReadsTheUserField) {
+  const DriverScript s = DriverScript::parse(
+      "0 launch\n"
+      "0 @1 launch\n"
+      "5 @12 walk 3 -2\n");
+  ASSERT_EQ(s.steps().size(), 3u);
+  EXPECT_EQ(s.steps()[0].user, 0);  // no field: user 0
+  EXPECT_EQ(s.steps()[1].user, 1);
+  EXPECT_EQ(s.steps()[2].user, 12);
+  EXPECT_EQ(s.steps()[2].kind, DriverStep::Kind::WalkTo);
+  EXPECT_DOUBLE_EQ(s.steps()[2].y, -2.0);
+  EXPECT_EQ(s.toText(), "0 launch\n0 @1 launch\n5 @12 walk 3 -2\n");
+}
+
+void expectSameSteps(const DriverScript& a, const DriverScript& b) {
+  ASSERT_EQ(a.steps().size(), b.steps().size());
+  for (std::size_t i = 0; i < a.steps().size(); ++i) {
+    const DriverStep& l = a.steps()[i];
+    const DriverStep& r = b.steps()[i];
+    EXPECT_EQ(l.at, r.at) << "step " << i;
+    EXPECT_EQ(l.user, r.user) << "step " << i;
+    EXPECT_EQ(l.kind, r.kind) << "step " << i;
+    EXPECT_EQ(l.x, r.x) << "step " << i;
+    EXPECT_EQ(l.y, r.y) << "step " << i;
+    EXPECT_EQ(l.a, r.a) << "step " << i;
+  }
+}
+
+TEST(DriverScriptTest, EveryExperimentScriptRoundTripsThroughText) {
+  const std::vector<DriverScript> scripts = {
+      twoUserThroughputScript(),   channelTimelineScript(),
+      forwardingCorrelationScript(), joinTimelineScript(),
+      usersSweepScript(15),        latencyExperimentScript(6),
+      viewportDetectionScript(),   worldsDisruptionScript(),
+      latencyLossPerceptionScript(false), latencyLossPerceptionScript(true),
+      downloadTraceScript()};
+  for (const DriverScript& s : scripts) {
+    ASSERT_FALSE(s.empty());
+    const std::string text = s.toText();
+    // Every run drives at least two users, so the user field is exercised.
+    EXPECT_NE(text.find(" @1 "), std::string::npos) << text;
+    expectSameSteps(DriverScript::parse(text), s);
+  }
+  // Off-grid times and coordinates survive the text form exactly.
+  DriverScript odd;
+  odd.walkTo(Duration::nanos(1'234'567'891), 3, 0.1, -1.0 / 3.0);
+  odd.snapTurn(Duration::millis(8.2), 2, -8);
+  expectSameSteps(DriverScript::parse(odd.toText()), odd);
+}
+
 TEST(DriverScriptTest, ParseSkipsCommentsAndBlanks) {
   const DriverScript s = DriverScript::parse(
       "# a comment\n"
@@ -60,15 +115,13 @@ TEST(DriverScriptTest, ParseRejectsUnknownVerb) {
   EXPECT_THROW(DriverScript::parse("0 fly"), std::invalid_argument);
   EXPECT_THROW(DriverScript::parse("0 walk 1"), std::invalid_argument);
   EXPECT_THROW(DriverScript::parse("nonsense"), std::invalid_argument);
-}
-
-TEST(DriverScriptTest, CannedWorkloadsAreWellFormed) {
-  const DriverScript chat =
-      DriverScript::chatWorkload(Duration::seconds(5), 2.0, 0.0);
-  EXPECT_GE(chat.steps().size(), 3u);
-  EXPECT_EQ(chat.steps().front().kind, DriverStep::Kind::Launch);
-  const DriverScript joiner = DriverScript::fig6Joiner(Duration::seconds(50));
-  EXPECT_EQ(joiner.steps()[1].at, Duration::seconds(50));
+  EXPECT_THROW(DriverScript::parse("-5 launch"), std::invalid_argument);
+  // User fields: '@' and a non-negative integer, then a verb.
+  EXPECT_THROW(DriverScript::parse("0 @x join"), std::invalid_argument);
+  EXPECT_THROW(DriverScript::parse("0 @ join"), std::invalid_argument);
+  EXPECT_THROW(DriverScript::parse("0 @1.5 join"), std::invalid_argument);
+  EXPECT_THROW(DriverScript::parse("0 @-1 join"), std::invalid_argument);
+  EXPECT_THROW(DriverScript::parse("0 @1"), std::invalid_argument);
 }
 
 // --------------------------------------------------------------- AutoDriver
@@ -88,11 +141,17 @@ class DriverFixture : public ::testing::Test {
   TestUser* u2{};
 };
 
+// The two users chat: both launch at 0 s, join at `joinAt`, and face each
+// other 100 ms later.
+std::string chatSteps(const char* joinAt, const char* faceAt) {
+  return std::string{"0 launch\n0 @1 launch\n"} + joinAt + " join\n" +
+         joinAt + " @1 join\n" + faceAt + " face 2 0\n" + faceAt +
+         " @1 face 0 0\n";
+}
+
 TEST_F(DriverFixture, PlaysLifecycleSteps) {
-  AutoDriver d1{*bed, *u1};
-  AutoDriver d2{*bed, *u2};
-  d1.play(DriverScript::chatWorkload(Duration::seconds(2), 2, 0));
-  d2.play(DriverScript::chatWorkload(Duration::seconds(2), 0, 0));
+  AutoDriver driver{*bed};
+  driver.play(DriverScript::parse(chatSteps("2", "2.1")));
   bed->sim().runFor(Duration::seconds(1));
   EXPECT_EQ(u1->client->phase(), ClientPhase::WelcomePage);
   bed->sim().runFor(Duration::seconds(5));
@@ -103,12 +162,12 @@ TEST_F(DriverFixture, PlaysLifecycleSteps) {
 }
 
 TEST_F(DriverFixture, MotionStepsMoveTheAvatar) {
-  AutoDriver driver{*bed, *u1};
+  AutoDriver driver{*bed};
   DriverScript s;
-  s.launch(Duration::zero());
-  s.join(Duration::seconds(1));
-  s.teleportTo(Duration::seconds(2), -4.0, 3.0);
-  s.snapTurn(Duration::seconds(3), 4);  // 90°
+  s.launch(Duration::zero(), 0);
+  s.join(Duration::seconds(1), 0);
+  s.teleportTo(Duration::seconds(2), 0, -4.0, 3.0);
+  s.snapTurn(Duration::seconds(3), 0, 4);  // 90°
   driver.play(s);
   bed->sim().runFor(Duration::seconds(5));
   EXPECT_DOUBLE_EQ(u1->client->motion().pose().x, -4.0);
@@ -117,23 +176,28 @@ TEST_F(DriverFixture, MotionStepsMoveTheAvatar) {
 }
 
 TEST_F(DriverFixture, ActStepsIssueTrackableActions) {
-  AutoDriver d1{*bed, *u1};
-  AutoDriver d2{*bed, *u2};
-  DriverScript s1 = DriverScript::chatWorkload(Duration::seconds(1), 2, 0);
-  s1.act(Duration::seconds(8));
-  s1.act(Duration::seconds(10));
-  d1.play(s1);
-  d2.play(DriverScript::chatWorkload(Duration::seconds(1), 0, 0));
+  AutoDriver driver{*bed};
+  driver.play(
+      DriverScript::parse(chatSteps("1", "1.1") + "8 act\n10 act\n"));
   bed->sim().runFor(Duration::seconds(15));
-  ASSERT_EQ(d1.actionsPerformed().size(), 2u);
+  ASSERT_EQ(driver.actionsPerformed(0).size(), 2u);
+  EXPECT_TRUE(driver.actionsPerformed(1).empty());
   // Both actions reached the peer's display.
-  for (const std::uint64_t action : d1.actionsPerformed()) {
+  for (const std::uint64_t action : driver.actionsPerformed(0)) {
     EXPECT_TRUE(u2->headset->firstDisplayLocal(action).has_value());
   }
 }
 
+TEST_F(DriverFixture, StepForAMissingUserSchedulesNothing) {
+  AutoDriver driver{*bed};
+  const std::size_t before = bed->sim().liveEvents();
+  EXPECT_THROW(driver.play(DriverScript::parse("0 launch\n1 @2 join\n")),
+               std::invalid_argument);
+  EXPECT_EQ(bed->sim().liveEvents(), before);
+}
+
 TEST_F(DriverFixture, ParsedScriptDrivesSession) {
-  AutoDriver driver{*bed, *u1};
+  AutoDriver driver{*bed};
   driver.play(DriverScript::parse("0 launch\n1 join\n3 mute\n5 leave\n"));
   bed->sim().runFor(Duration::seconds(2));
   EXPECT_EQ(u1->client->phase(), ClientPhase::InEvent);

@@ -285,6 +285,33 @@ TEST(MigrationTest, DrainIsNotAPlacement) {
   EXPECT_EQ(mgr.stats().placementsTotal, 21u);
 }
 
+TEST(MigrationTest, DrainedShardReadsIdle) {
+  // A drained shard stops forwarding and stops sampling its load; its
+  // utilization must not stay frozen at the last busy sample.
+  Simulator sim{5};
+  ClusterConfig cfg;
+  cfg.initialInstances = 2;
+  InstanceManager mgr{sim, detachedSpec(), cfg};
+  for (std::uint64_t u = 1; u <= 8; ++u) ASSERT_NE(mgr.joinUser(u), nullptr);
+  std::uint64_t seq = 0;
+  PeriodicTask pacer{sim, Duration::millis(50), [&] {
+                       for (std::uint64_t u = 1; u <= 8; ++u) {
+                         if (RelayRoom* room = mgr.roomOf(u)) {
+                           room->broadcast(u, poseMsg(u, ++seq));
+                         }
+                       }
+                     }};
+  sim.runFor(Duration::seconds(3));
+  ASSERT_GT(mgr.instance(1)->utilization(), 0.0);
+
+  ASSERT_EQ(mgr.drain(1), 4u);
+  EXPECT_EQ(mgr.instance(1)->state(), InstanceState::Stopped);
+  EXPECT_EQ(mgr.stats().shards[1].utilization, 0.0);
+  sim.runFor(Duration::seconds(3));
+  EXPECT_EQ(mgr.stats().shards[1].utilization, 0.0);
+  EXPECT_GT(mgr.stats().shards[0].utilization, 0.0);  // the target is busy
+}
+
 TEST(MigrationTest, DrainWithoutTargetKeepsServing) {
   Simulator sim{3};
   ClusterConfig cfg;

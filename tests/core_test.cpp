@@ -365,7 +365,7 @@ TEST(DisruptorTest, StagesApplyAndReset) {
   ASSERT_EQ(stages.size(), 6u);
   EXPECT_EQ(stages.front().config.rateLimit, DataRate::mbps(1.0));
   EXPECT_EQ(stages.back().config.rateLimit, DataRate::mbps(0.1));
-  d.schedule(TimePoint::epoch() + Duration::seconds(1), stages);
+  d.play(TimePoint::epoch() + Duration::seconds(1), stages);
   bed.sim().runFor(Duration::seconds(2));
   EXPECT_EQ(u1.downlinkNetem().config().rateLimit, DataRate::mbps(1.0));
   bed.sim().runFor(Duration::seconds(40));

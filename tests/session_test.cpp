@@ -252,6 +252,107 @@ TEST(SessionTest, RecycledHubRecordExpiresOnItsOwnToken) {
   EXPECT_EQ(b.hub.stats().expiries, 1u);  // the second token's, at ~4 s
 }
 
+// ------------------------------------------------------- connect rejects
+//
+// With fastSession() a first connect runs: token requested at 0, delivered
+// at 40 ms (a round trip), connect queued at 60 ms and served one
+// connectCost later; the hub's answer lands 20 ms after that.
+
+TEST(SessionTest, ForgedTokenRejectRetriesWithAFreshToken) {
+  BareHub b{9};
+  Session s{b.hub, fastSession(), 42, regions::usEast()};
+  s.connect();
+  b.sim.runFor(Duration::millis(50));  // token in hand, connect in flight
+  ASSERT_EQ(b.hub.authority().issuedTotal(), 1u);
+  // The hub rotates its signing key: the token in flight no longer verifies.
+  b.hub.authority() = TokenAuthority{kSecret + 1, Duration::minutes(10)};
+  b.sim.runFor(Duration::millis(40));  // the reject has landed
+  EXPECT_EQ(s.state(), ConnectionState::Reconnecting);
+  EXPECT_EQ(b.hub.authority().rejectedForged(), 1u);
+  EXPECT_EQ(b.hub.stats().rejects, 1u);
+  EXPECT_EQ(b.hub.stats().tokenRejects, 1u);
+  EXPECT_EQ(s.stats().rejects, 1u);
+  EXPECT_EQ(s.stats().tokenRejects, 1u);
+
+  b.sim.runFor(Duration::seconds(1));
+  EXPECT_EQ(s.state(), ConnectionState::Connected);
+  // The retry dropped the rejected token and fetched one under the new key.
+  EXPECT_EQ(b.hub.authority().issuedTotal(), 1u);
+  EXPECT_EQ(s.stats().connectAttempts, 2u);
+  EXPECT_EQ(b.hub.stats().rejects, 1u);
+  EXPECT_EQ(s.stats().rejects, 1u);
+  EXPECT_EQ(s.stats().tokenRejects, 1u);
+}
+
+TEST(SessionTest, TokenExpiredInTheConnectQueueIsRejected) {
+  // A 30 ms token issued at 40 ms expires before a 50 ms connect slot ends.
+  HubConfig hc;
+  hc.connectCost = Duration::millis(50);
+  BareHub b{10, Duration::millis(30), hc};
+  Session s{b.hub, fastSession(), 42, regions::usEast()};
+  s.connect();
+  b.sim.runFor(Duration::millis(140));  // served at 110 ms, answer at 130
+  EXPECT_EQ(s.state(), ConnectionState::Reconnecting);
+  EXPECT_EQ(b.hub.authority().rejectedExpired(), 1u);
+  EXPECT_EQ(b.hub.stats().rejects, 1u);
+  EXPECT_EQ(b.hub.stats().tokenRejects, 1u);
+  EXPECT_EQ(s.stats().rejects, 1u);
+  EXPECT_EQ(s.stats().tokenRejects, 1u);
+
+  // Longer-lived tokens from here on: the retry's fresh token survives.
+  b.hub.authority() = TokenAuthority{kSecret, Duration::minutes(10)};
+  b.sim.runFor(Duration::seconds(1));
+  EXPECT_EQ(s.state(), ConnectionState::Connected);
+  EXPECT_EQ(b.hub.authority().issuedTotal(), 1u);
+  EXPECT_EQ(b.hub.stats().rejects, 1u);
+  EXPECT_EQ(s.stats().rejects, 1u);
+  EXPECT_EQ(s.stats().tokenRejects, 1u);
+}
+
+TEST(SessionTest, NoCapacityRejectRetriesWithTheSameToken) {
+  BareHub b{11};
+  int placements = 0;
+  b.hub.setPlacer([&](std::uint64_t, const Region&, bool) {
+    return placements++ == 0 ? -1 : 0;  // full once, then room on shard 0
+  });
+  Session s{b.hub, fastSession(), 42, regions::usEast()};
+  s.connect();
+  b.sim.runFor(Duration::millis(90));  // the reject has landed
+  EXPECT_EQ(s.state(), ConnectionState::Reconnecting);
+  EXPECT_EQ(b.hub.stats().rejects, 1u);
+  EXPECT_EQ(b.hub.stats().tokenRejects, 0u);
+  EXPECT_EQ(s.stats().rejects, 1u);
+  EXPECT_EQ(s.stats().tokenRejects, 0u);
+
+  b.sim.runFor(Duration::seconds(1));
+  EXPECT_EQ(s.state(), ConnectionState::Connected);
+  EXPECT_EQ(placements, 2);
+  EXPECT_EQ(b.hub.authority().issuedTotal(), 1u);  // the token was still good
+  EXPECT_EQ(b.hub.stats().rejects, 1u);
+  EXPECT_EQ(s.stats().rejects, 1u);
+}
+
+TEST(SessionTest, StaleEpochRejectIsIgnored) {
+  BareHub b{12};
+  int placements = 0;
+  b.hub.setPlacer([&](std::uint64_t, const Region&, bool) {
+    return placements++ == 0 ? -1 : 0;
+  });
+  Session s{b.hub, fastSession(), 42, regions::usEast()};
+  s.connect();
+  b.sim.runFor(Duration::millis(70));  // rejected at the hub, answer in flight
+  ASSERT_EQ(b.hub.stats().rejects, 1u);
+  // A fresh attempt bumps the epoch before the old answer lands at ~80 ms.
+  s.disconnect();
+  s.connect();
+  b.sim.runFor(Duration::seconds(1));
+  EXPECT_EQ(s.state(), ConnectionState::Connected);
+  EXPECT_EQ(s.stats().rejects, 0u);
+  EXPECT_EQ(s.stats().connects, 1u);
+  EXPECT_EQ(b.hub.stats().rejects, 1u);
+  EXPECT_EQ(placements, 2);
+}
+
 // --------------------------------------------------------------- backoff
 
 TEST(SessionBackoffTest, SynchronizedDelaysAreTheExactExponentialCeiling) {

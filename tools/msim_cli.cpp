@@ -8,7 +8,9 @@
 //   msim disrupt <downlink|uplink|tcponly>  §8 Worlds disruption run
 //   msim survey <platform> [region]         §4 infrastructure probe
 //   msim trace <platform> <seconds>         AP capture, tcpdump-style
-//   msim script <platform> <file>           play an AutoDriver script (u1)
+//   msim script <platform> <file>           play an AutoDriver script (@0
+//                                           by default; @1 is a peer that
+//                                           launches and joins at 0 s)
 //
 // A global `--threads N` option (anywhere on the command line) caps the
 // seed-sweep worker pool; the default comes from MSIM_THREADS or the
@@ -181,13 +183,9 @@ int cmdTrace(const PlatformSpec& spec, int seconds) {
   Testbed bed{1};
   bed.deploy(spec);
   TestUser& u1 = bed.addUser();
-  TestUser& u2 = bed.addUser();
-  bed.sim().schedule(TimePoint::epoch(), [&] {
-    u1.client->launch();
-    u2.client->launch();
-    u1.client->joinEvent();
-    u2.client->joinEvent();
-  });
+  bed.addUser();
+  AutoDriver driver{bed};
+  driver.play(launchThenJoinScript(2, Duration::zero(), Duration::zero()));
   bed.sim().runFor(Duration::seconds(seconds));
   std::fputs(u1.capture->exportTraceText().c_str(), stdout);
   return 0;
@@ -211,13 +209,19 @@ int cmdScript(const PlatformSpec& spec, const std::string& path) {
   Testbed bed{1};
   bed.deploy(spec);
   TestUser& u1 = bed.addUser();
-  TestUser& u2 = bed.addUser();  // a peer so the event isn't empty
-  bed.sim().schedule(TimePoint::epoch(), [&] {
-    u2.client->launch();
-    u2.client->joinEvent();
-  });
-  AutoDriver driver{bed, u1};
-  const TimePoint last = driver.play(script);
+  bed.addUser();  // a peer so the event isn't empty
+  // The peer launches and joins at 0 s, ahead of the script's own steps.
+  DriverScript session;
+  session.launch(Duration::zero(), 1).join(Duration::zero(), 1);
+  for (const DriverStep& step : script.steps()) session.add(step);
+  AutoDriver driver{bed};
+  TimePoint last;
+  try {
+    last = driver.play(session);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "msim: %s\n", e.what());
+    return 2;
+  }
   bed.sim().run(last + Duration::seconds(10));
   const MetricsSample m = u1.headset->metrics().averageOver(
       TimePoint::epoch(), bed.sim().now());
@@ -228,7 +232,7 @@ int cmdScript(const PlatformSpec& spec, const std::string& path) {
                   ->meanRate(Channel::DataDown, 0,
                              static_cast<std::size_t>(bed.sim().now().toSeconds()))
                   .toKbps(),
-              driver.actionsPerformed().size());
+              driver.actionsPerformed(0).size());
   return 0;
 }
 
