@@ -9,6 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -34,10 +35,23 @@ void* operator new(std::size_t n) {
 
 void* operator new[](std::size_t n) { return ::operator new(n); }
 
+// The nothrow forms (std::stable_sort's temporary buffer) must come from the
+// same malloc that the deletes below free; a sanitizer runtime otherwise
+// supplies its own and reports a new/free mismatch.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_heapAllocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
+  return ::operator new(n, tag);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 using namespace msim;
 
@@ -234,6 +248,66 @@ void BM_TimerRearm(benchmark::State& state) {
                 : 0.0);
 }
 BENCHMARK(BM_TimerRearm)->Arg(10000);
+
+void BM_CaptureOnPacket(benchmark::State& state) {
+  // The AP capture hot path, off the network: a default CaptureAgent (no
+  // per-packet records) sees alternating data and control packets, up and
+  // down, spread evenly over 10 s of wire time, and bins them by channel and
+  // protocol. A warm-up pass over the same span creates every bin first, so
+  // allocs_per_item is the steady-state heap budget per tapped packet (must
+  // be zero).
+  const std::int64_t packets = state.range(0);
+  Testbed bed{1};
+  bed.deploy(platforms::vrchat());
+  const Region region = TestUserConfig{}.region;
+  TestUser& user = bed.addUser();
+  CaptureAgent& capture = *user.capture;
+  Packet data;
+  data.src = user.headsetNode->primaryAddress();
+  data.dst = bed.deployment().dataEndpointFor(region, 0).addr;
+  data.proto = IpProto::Udp;
+  data.payloadBytes = ByteSize::bytes(220);
+  data.overheadBytes = 42;
+  Packet control = data;
+  control.dst = bed.deployment().controlEndpointFor(region).addr;
+  control.proto = IpProto::Tcp;
+  control.payloadBytes = ByteSize::bytes(600);
+  control.overheadBytes = 66;
+  // Uplink goes headset -> server, downlink server -> headset.
+  auto reversed = [](Packet p) {
+    std::swap(p.src, p.dst);
+    return p;
+  };
+  const std::array<Packet, 4> mix{data, reversed(data), control,
+                                  reversed(control)};
+  const Duration span = Duration::seconds(10);
+  auto pass = [&] {
+    for (std::int64_t i = 0; i < packets; ++i) {
+      const TimePoint at = TimePoint::epoch() + span * i / packets;
+      capture.onPacket(mix[static_cast<std::size_t>(i & 3)], (i & 1) == 0, at);
+    }
+  };
+  pass();
+
+  std::int64_t items = 0;
+  const std::uint64_t allocsBefore = g_heapAllocs.load();
+  for (auto _ : state) {
+    pass();
+    items += packets;
+  }
+  const std::uint64_t allocs = g_heapAllocs.load() - allocsBefore;
+  benchmark::DoNotOptimize(capture.packetCount());
+  if (capture.series(Channel::DataDown).total() <= 0.0 ||
+      capture.series(Channel::ControlDown).total() <= 0.0 ||
+      capture.series(Channel::Other).total() != 0.0) {
+    state.SkipWithError("packets were not classified into the four channels");
+  }
+  state.SetItemsProcessed(items);
+  state.counters["allocs_per_item"] = benchmark::Counter(
+      items > 0 ? static_cast<double>(allocs) / static_cast<double>(items)
+                : 0.0);
+}
+BENCHMARK(BM_CaptureOnPacket)->Arg(10000);
 
 void BM_RelayBroadcast(benchmark::State& state) {
   // The §5.1 linear fan-out, isolated from the network: one pose update

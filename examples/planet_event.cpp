@@ -11,6 +11,9 @@
 //
 //   ./planet_event [users] [instances] [--churn]
 //
+// Both counts are whole numbers: users >= 1, instances >= 2 (the drained or
+// crashed shard needs a survivor to hand its users to). Anything else exits 2.
+//
 // With --churn, the drain is replaced by the rude version: a shard *crashes*
 // mid-event with live sessions on it. The session tier (src/session) takes
 // over — every orphaned client discovers the death through its ping
@@ -19,8 +22,8 @@
 // missed interval from history. The run prints the storm draining and gates
 // on the exactly-once ledger: zero lost, zero duplicate, zero out-of-order.
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -107,10 +110,33 @@ int runChurnEvent(int users, int instances) {
 
   const bool ok = r.lost == 0 && r.duplicates == 0 && r.gaps == 0 &&
                   r.connectedAtEnd == static_cast<std::size_t>(users);
-  std::printf("\n%s: every subscriber saw every message exactly once and in "
-              "order across the crash.\n",
-              ok ? "zero-loss churn" : "LOSS DETECTED");
+  if (ok) {
+    std::printf("\nzero-loss churn: every subscriber saw every message "
+                "exactly once and in order across the crash.\n");
+  } else {
+    std::printf("\nLOSS DETECTED: %llu lost, %llu duplicates, %llu "
+                "out-of-order gaps; %zu of %d sessions connected at end.\n",
+                static_cast<unsigned long long>(r.lost),
+                static_cast<unsigned long long>(r.duplicates),
+                static_cast<unsigned long long>(r.gaps), r.connectedAtEnd,
+                users);
+  }
   return ok ? 0 : 1;
+}
+
+int usage(const std::string& why) {
+  std::fprintf(stderr,
+               "planet_event: %s\n"
+               "usage: planet_event [users >= 1] [instances >= 2] [--churn]\n",
+               why.c_str());
+  return 2;
+}
+
+// Reads `text` as a whole number ("12"; not "abc", "2.5" or "3x").
+bool wholeNumber(const char* text, int& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc{} && ptr == end;
 }
 
 }  // namespace
@@ -122,12 +148,19 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--churn") == 0) {
       churn = true;
-    } else if (npos < 2) {
-      positional[npos++] = std::atoi(argv[i]);
+    } else if (npos == 2) {
+      return usage(std::string{"unexpected argument '"} + argv[i] + "'");
+    } else if (!wholeNumber(argv[i], positional[npos++])) {
+      return usage(std::string{"not a whole number: '"} + argv[i] + "'");
     }
   }
   const int users = positional[0];
   const int instances = positional[1];
+  if (users < 1) return usage("need at least one user");
+  if (instances < 2) {
+    return usage("need at least two instances: the drained or crashed shard "
+                 "hands its users to another");
+  }
 
   if (churn) return runChurnEvent(users, instances);
 

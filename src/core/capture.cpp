@@ -64,7 +64,7 @@ void CaptureAgent::onPacket(const Packet& p, bool uplink, TimePoint at) {
     }
   }
 
-  if (storeRecords_) {
+  if (keepRecords_) {
     // Taps fire ahead of the wire (see above), so a record's wire time can
     // lie ahead of later-tapped ones; file it in wire-time order, as the
     // AP's Wireshark would log it.

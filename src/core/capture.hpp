@@ -4,7 +4,9 @@
 // instrument ("We use Wireshark on each AP to capture and analyze network
 // traffic", §3.2). The capture agent taps the AP's campus-side device and
 // bins wire bytes into control/data channels by server address, exactly the
-// way the paper classified flows by server hostname/owner.
+// way the paper classified flows by server hostname/owner. Every paper number
+// is read off those bins; a per-packet log is kept only for a reader that
+// asks for one (keepRecords()).
 
 #include <array>
 #include <optional>
@@ -58,10 +60,12 @@ class CaptureAgent {
   /// Per-protocol uplink/downlink series (Fig. 13 separates UDP from TCP).
   [[nodiscard]] const BinnedSeries& protoSeries(IpProto proto, bool uplink) const;
 
+  /// The per-packet log, in wire-time order; empty unless keepRecords()
+  /// was called before the packets were tapped.
   [[nodiscard]] const std::vector<PacketRecord>& records() const { return records_; }
-  /// Stop storing individual records (series keep accumulating) — long
-  /// experiments only need the bins.
-  void setStoreRecords(bool store) { storeRecords_ = store; }
+  /// Also store a PacketRecord per packet from now on (the bins, counts and
+  /// action registry fill either way). Only trace readers need it.
+  void keepRecords() { keepRecords_ = true; }
 
   /// Earliest wire time of an uplink/downlink packet carrying the action
   /// (the minimum over its packets, whatever order the taps fired in).
@@ -74,7 +78,7 @@ class CaptureAgent {
 
   [[nodiscard]] std::uint64_t packetCount() const { return packets_; }
 
-  /// tcpdump-style text rendering of the stored records (what you would
+  /// tcpdump-style text rendering of the kept records (what you would
   /// read off the AP's Wireshark window), e.g.
   ///   12.345678 UP   10.1.0.2:49152 > 100.2.1.10:5055 UDP 1038B [data-up]
   [[nodiscard]] std::string exportTraceText(std::size_t maxLines = 0) const;
@@ -95,7 +99,7 @@ class CaptureAgent {
   std::array<BinnedSeries, 5> channels_;  // indexed by Channel
   std::array<BinnedSeries, 6> protos_;    // indexed by proto*2 + uplink
   std::vector<PacketRecord> records_;
-  bool storeRecords_{true};
+  bool keepRecords_{false};
   FlatMap64<TimePoint> firstUpAction_;    // actionId -> first uplink time
   FlatMap64<TimePoint> firstDownAction_;  // actionId -> first downlink time
   std::uint64_t packets_{0};

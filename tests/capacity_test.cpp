@@ -84,6 +84,7 @@ TEST(TraceExportTest, RendersTcpdumpStyleLines) {
   bed.deploy(platforms::vrchat());
   TestUser& u1 = bed.addUser();
   TestUser& u2 = bed.addUser();
+  u1.capture->keepRecords();
   bed.sim().schedule(TimePoint::epoch(), [&] {
     u1.client->launch();
     u2.client->launch();

@@ -30,6 +30,7 @@ TEST(TestbedTest, CaptureSeesBothDirections) {
   bed.deploy(platforms::vrchat());
   TestUser& u1 = bed.addUser();
   TestUser& u2 = bed.addUser();
+  u1.capture->keepRecords();
   bed.sim().schedule(TimePoint::epoch(), [&] {
     u1.client->launch();
     u2.client->launch();
@@ -137,6 +138,7 @@ TEST(CaptureTest, FirstActionTimeIsTheEarliestWireTimeNotTheFirstTapped) {
   Testbed bed{5};
   bed.deploy(platforms::vrchat());
   TestUser& u1 = bed.addUser();
+  u1.capture->keepRecords();
   auto msg = std::make_shared<Message>();
   msg->actionId = 42;
   Packet p;

@@ -48,6 +48,7 @@ std::uint64_t runScenario(std::uint64_t seed) {
   TestUserConfig cfg;
   cfg.muted = true;
   for (int i = 0; i < 3; ++i) bed.addUser(cfg);
+  bed.user(0).capture->keepRecords();
 
   Simulator& sim = bed.sim();
 

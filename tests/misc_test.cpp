@@ -43,22 +43,64 @@ TEST(DeterminismTest, ExperimentRowsAreReproducible) {
   EXPECT_DOUBLE_EQ(r1.avatarKbps, r2.avatarKbps);
 }
 
-TEST(CaptureTest, RecordStorageCanBeDisabled) {
-  Testbed bed{7};
-  bed.deploy(platforms::vrchat());
-  TestUser& u1 = bed.addUser();
-  TestUser& u2 = bed.addUser();
-  u1.capture->setStoreRecords(false);
-  bed.sim().schedule(TimePoint::epoch(), [&] {
-    u1.client->launch();
-    u2.client->launch();
-    u1.client->joinEvent();
-    u2.client->joinEvent();
-  });
-  bed.sim().runFor(Duration::seconds(10));
-  EXPECT_TRUE(u1.capture->records().empty());         // no per-packet records
-  EXPECT_GT(u1.capture->packetCount(), 0u);           // but counting continues
-  EXPECT_GT(u1.capture->series(Channel::DataUp).total(), 0.0);  // and binning
+// A default agent keeps no per-packet log, yet counts and bins every packet;
+// asking for records changes nothing the simulation can see.
+TEST(CaptureTest, RecordsAreOptIn) {
+  struct Outcome {
+    std::uint64_t digest{0};
+    std::vector<std::uint64_t> packets;
+    std::vector<std::vector<double>> bins;  // per user: channels, then protos
+    std::vector<std::size_t> records;
+  };
+  auto run = [](bool keep) {
+    Outcome out;
+    Testbed bed{7};
+    bed.sim().enableAudit();
+    bed.deploy(platforms::vrchat());
+    for (int i = 0; i < 3; ++i) bed.addUser();
+    if (keep) {
+      for (auto& u : bed.users()) u->capture->keepRecords();
+    }
+    AutoDriver driver{bed};
+    driver.play(launchThenJoinScript(3, Duration::zero(), Duration::seconds(1),
+                                     Duration::seconds(1)));
+    bed.sim().runFor(Duration::seconds(10));
+    out.digest = bed.sim().auditDigest();
+    for (auto& u : bed.users()) {
+      const CaptureAgent& cap = *u->capture;
+      out.packets.push_back(cap.packetCount());
+      out.records.push_back(cap.records().size());
+      EXPECT_GT(cap.series(Channel::DataUp).total(), 0.0);
+      EXPECT_GT(cap.protoSeries(IpProto::Tcp, false).total(), 0.0);
+      auto& bins = out.bins.emplace_back();
+      auto add = [&bins](const BinnedSeries& s) {
+        bins.push_back(static_cast<double>(s.binCount()));
+        for (std::size_t i = 0; i < s.binCount(); ++i) bins.push_back(s.binSum(i));
+      };
+      for (const Channel c : {Channel::ControlUp, Channel::ControlDown,
+                              Channel::DataUp, Channel::DataDown, Channel::Other}) {
+        add(cap.series(c));
+      }
+      for (const IpProto proto : {IpProto::Udp, IpProto::Tcp, IpProto::Icmp}) {
+        for (const bool uplink : {false, true}) add(cap.protoSeries(proto, uplink));
+      }
+    }
+    return out;
+  };
+  const Outcome plain = run(false);
+  const Outcome kept = run(true);
+
+  ASSERT_EQ(plain.packets.size(), 3u);
+  for (std::size_t i = 0; i < plain.packets.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(plain.records[i], 0u);  // no per-packet records by default
+    EXPECT_GT(plain.packets[i], 0u);  // but counting and binning continue
+    EXPECT_EQ(kept.records[i], kept.packets[i]);  // one record per packet
+  }
+  EXPECT_NE(plain.digest, 0u);
+  EXPECT_EQ(plain.digest, kept.digest);
+  EXPECT_EQ(plain.packets, kept.packets);
+  EXPECT_EQ(plain.bins, kept.bins);
 }
 
 TEST(HttpReuseTest, SecondRequestSkipsHandshakes) {

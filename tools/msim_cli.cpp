@@ -184,6 +184,7 @@ int cmdTrace(const PlatformSpec& spec, int seconds) {
   bed.deploy(spec);
   TestUser& u1 = bed.addUser();
   bed.addUser();
+  u1.capture->keepRecords();
   AutoDriver driver{bed};
   driver.play(launchThenJoinScript(2, Duration::zero(), Duration::zero()));
   bed.sim().runFor(Duration::seconds(seconds));
